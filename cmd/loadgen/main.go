@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"taskgrain/internal/stats"
+	"taskgrain/internal/wire"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -133,29 +134,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return verifyRecovered(*expectRecovered, targets, *concurrency, *waitTimeout,
 			&http.Client{Timeout: *waitTimeout + 15*time.Second}, stdout, stderr)
 	}
-	spec := map[string]any{"kind": *kind, "size": *size}
+	spec := wire.JobSpec{Kind: *kind, Size: *size, Seed: *seed}
 	if *kind == "stencil1d" || *kind == "taskbench" {
-		spec["steps"] = *steps
+		spec.Steps = *steps
 	}
 	if *kind == "taskbench" {
-		if *pattern != "" {
-			spec["pattern"] = *pattern
-		}
-		if *kernel != "" {
-			spec["kernel"] = *kernel
-		}
-		if *metg {
-			spec["metg"] = true
-		}
+		spec.Pattern, spec.Kernel, spec.Metg = *pattern, *kernel, *metg
 	}
 	if *grain > 0 {
-		spec["grain"] = *grain
-	}
-	if *seed != 0 {
-		spec["seed"] = *seed
+		spec.Grain = *grain
 	}
 	if *deadline > 0 {
-		spec["deadline_ms"] = deadline.Milliseconds()
+		spec.DeadlineMillis = deadline.Milliseconds()
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -206,11 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if first+n > *jobs {
 					n = *jobs - first
 				}
-				if *batch == 1 {
-					g.oneJob()
-				} else {
-					g.oneBatch(n)
-				}
+				g.oneBatch(n)
 			}
 		}()
 	}
@@ -272,63 +258,6 @@ type targetAgg struct {
 	terminal  int             // jobs that reached a terminal state here
 }
 
-// oneJob submits one job (retrying sheds) and follows it to a terminal
-// state. The job is pinned to one target — chosen round-robin across the
-// -mesh list — so its status polls go where it was admitted.
-func (g *generator) oneJob() {
-	idx := int(g.rr.Add(1)-1) % len(g.targets)
-	base := g.targets[idx]
-	submitStart := time.Now()
-	var id string
-	retries := 0
-	for {
-		resp, err := g.client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(g.body))
-		if err != nil {
-			g.errors.Add(1)
-			return
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			var v struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(raw, &v); err != nil || v.ID == "" {
-				g.errors.Add(1)
-				return
-			}
-			id = v.ID
-			if !g.logAdmitted(id) {
-				return
-			}
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			g.sheds.Add(1)
-			g.mu.Lock()
-			g.perTarget[idx].sheds++
-			g.mu.Unlock()
-			retries++
-			if g.maxRetries > 0 && retries >= g.maxRetries {
-				// Shed to exhaustion: the job never ran, so it contributes no
-				// latency sample — the report must stay well-formed anyway.
-				g.errors.Add(1)
-				return
-			}
-			time.Sleep(g.backoff(resp.Header.Get("Retry-After")))
-			continue
-		default:
-			g.errors.Add(1)
-			return
-		}
-		break
-	}
-	if g.submitOnly {
-		g.recordAck(idx, 1, time.Since(submitStart))
-		return
-	}
-	g.followJob(idx, base, id, submitStart)
-}
-
 // recordAck accounts n admitted jobs in submit-only mode: the ack latency —
 // submit start to the 202 that admitted them, shed retries included — stands
 // in for the submit→terminal sample, once per job so batch percentiles weigh
@@ -373,14 +302,7 @@ func (g *generator) followJob(idx int, base, id string, submitStart time.Time) {
 			g.errors.Add(1)
 			return
 		}
-		var v struct {
-			State  string `json:"state"`
-			Grain  int    `json:"grain"`
-			Result *struct {
-				MetgNs    float64 `json:"metg_ns"`
-				MetgFound bool    `json:"metg_found"`
-			} `json:"result"`
-		}
+		var v wire.JobView
 		status := resp.StatusCode
 		err = json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
@@ -403,11 +325,11 @@ func (g *generator) followJob(idx int, base, id string, submitStart time.Time) {
 			return
 		}
 		switch v.State {
-		case "done":
+		case wire.JobDone:
 			g.done.Add(1)
-		case "failed":
+		case wire.JobFailed:
 			g.failed.Add(1)
-		case "cancelled":
+		case wire.JobCancelled:
 			g.cancelled.Add(1)
 		default:
 			continue // long-poll timed out before terminal; poll again
@@ -428,11 +350,12 @@ func (g *generator) followJob(idx int, base, id string, submitStart time.Time) {
 	}
 }
 
-// oneBatch submits n copies of the job spec as one POST /v1/jobs/batch,
-// retrying shed items in ever-smaller batches with backoff, then follows
-// every admitted job to a terminal state concurrently (so one slow job does
-// not serialize the observation of its batch-mates). The batch is pinned to
-// one target like a single job would be.
+// oneBatch submits n copies of the job spec in one POST — a single job is a
+// batch of one — retrying shed items in ever-smaller batches with backoff,
+// then follows every admitted job to a terminal state concurrently (so one
+// slow job does not serialize the observation of its batch-mates). The batch
+// is pinned to one target — chosen round-robin across the -mesh list — so
+// its status polls go where it was admitted.
 func (g *generator) oneBatch(n int) {
 	idx := int(g.rr.Add(1)-1) % len(g.targets)
 	base := g.targets[idx]
@@ -442,34 +365,21 @@ func (g *generator) oneBatch(n int) {
 	retries := 0
 	for remaining > 0 {
 		t0 := time.Now()
-		resp, err := g.client.Post(base+"/v1/jobs/batch", "application/json",
-			bytes.NewReader(batchBody(g.body, remaining)))
+		results, retryAfter, err := g.post(base, remaining)
 		if err != nil {
 			g.errors.Add(int64(remaining))
-			remaining = 0
 			break
 		}
 		g.batches.Add(1)
-		var v struct {
-			Results []struct {
-				Status int `json:"status"`
-				Job    *struct {
-					ID string `json:"id"`
-				} `json:"job"`
-			} `json:"results"`
-		}
-		decErr := json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
 		g.mu.Lock()
 		g.batchLats = append(g.batchLats, time.Since(t0))
 		g.mu.Unlock()
-		if decErr != nil || len(v.Results) != remaining {
+		if len(results) != remaining {
 			g.errors.Add(int64(remaining))
-			remaining = 0
 			break
 		}
 		admitted, shed := 0, 0
-		for _, res := range v.Results {
+		for _, res := range results {
 			switch {
 			case res.Status == http.StatusAccepted && res.Job != nil && res.Job.ID != "":
 				if !g.logAdmitted(res.Job.ID) {
@@ -477,7 +387,7 @@ func (g *generator) oneBatch(n int) {
 				}
 				ids = append(ids, res.Job.ID)
 				admitted++
-			case res.Status == http.StatusTooManyRequests || res.Status == http.StatusServiceUnavailable:
+			case res.Shed():
 				shed++
 			default:
 				g.errors.Add(1)
@@ -497,7 +407,7 @@ func (g *generator) oneBatch(n int) {
 				g.errors.Add(int64(shed))
 				break
 			}
-			time.Sleep(g.backoff(resp.Header.Get("Retry-After")))
+			time.Sleep(g.backoff(retryAfter))
 		}
 	}
 
@@ -516,6 +426,36 @@ func (g *generator) oneBatch(n int) {
 		}(id)
 	}
 	wg.Wait()
+}
+
+// post submits n copies of the spec in the request shape -batch selects —
+// POST /v1/jobs (n is then 1) or POST /v1/jobs/batch — and returns one result
+// per job plus the reply's Retry-After header. An undecodable reply returns
+// no results.
+func (g *generator) post(base string, n int) ([]wire.BatchItem, string, error) {
+	path, body := "/v1/jobs", g.body
+	if g.batchSize > 1 {
+		path, body = "/v1/jobs/batch", batchBody(g.body, n)
+	}
+	resp, err := g.client.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	retryAfter := resp.Header.Get("Retry-After")
+	if g.batchSize > 1 {
+		var v wire.BatchResponse
+		_ = json.NewDecoder(resp.Body).Decode(&v)
+		return v.Results, retryAfter, nil
+	}
+	res := wire.BatchItem{Status: resp.StatusCode}
+	if resp.StatusCode == http.StatusAccepted {
+		var view wire.JobView
+		if json.NewDecoder(resp.Body).Decode(&view) == nil {
+			res.Job = &view
+		}
+	}
+	return []wire.BatchItem{res}, retryAfter, nil
 }
 
 // batchBody renders {"jobs":[spec × n]} from one marshaled spec.
@@ -713,9 +653,7 @@ func pollRecovered(client *http.Client, base, id string, waitTimeout time.Durati
 			time.Sleep(100 * time.Millisecond)
 			continue
 		}
-		var v struct {
-			State string `json:"state"`
-		}
+		var v wire.JobView
 		status := resp.StatusCode
 		decErr := json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
@@ -726,9 +664,8 @@ func pollRecovered(client *http.Client, base, id string, waitTimeout time.Durati
 			time.Sleep(100 * time.Millisecond)
 			continue
 		}
-		switch v.State {
-		case "done", "failed", "cancelled":
-			return v.State, ""
+		if v.State.Terminal() {
+			return string(v.State), ""
 		}
 	}
 	return "", "never reached a terminal state"

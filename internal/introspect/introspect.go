@@ -12,7 +12,8 @@
 //	                                    this for instance names containing
 //	                                    '#' (a URL fragment delimiter)
 //	GET /histogram/<name>               bucketed distribution of a histogram
-//	GET /metrics                        Prometheus text exposition format
+//	GET /metrics                        OpenMetrics text exposition (the same
+//	                                    exporter the daemons serve on /metrics)
 //
 // The handler only reads; it holds no locks across requests beyond the
 // registry's own snapshotting.
@@ -20,12 +21,11 @@ package introspect
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 
 	"taskgrain/internal/counters"
+	"taskgrain/internal/telemetry"
 )
 
 // NewHandler builds the introspection handler over a counter registry.
@@ -60,7 +60,7 @@ func NewProviderHandler(get func() *counters.Registry) http.Handler {
 				out[name] = v
 			}
 		}
-		writeJSON(w, out)
+		writeIndented(w, out)
 	})
 	counterHandler := func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("name")
@@ -72,12 +72,12 @@ func NewProviderHandler(get func() *counters.Registry) http.Handler {
 			http.Error(w, "unknown counter "+name, http.StatusNotFound)
 			return
 		}
-		writeJSON(w, map[string]any{"name": name, "value": v})
+		writeIndented(w, map[string]any{"name": name, "value": v})
 	}
 	mux.HandleFunc("/counter", counterHandler)
 	mux.HandleFunc("/counter/", counterHandler)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writePrometheus(w, registry())
+		telemetry.ServeOpenMetrics(w, telemetry.PointsFromRegistry(registry(), nil))
 	})
 	mux.HandleFunc("/histogram/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/histogram")
@@ -100,7 +100,7 @@ func NewProviderHandler(get func() *counters.Registry) http.Handler {
 		for _, b := range h.Buckets() {
 			buckets = append(buckets, bucket{LoNs: b.LoNs, HiNs: b.HiNs, Count: b.Count})
 		}
-		writeJSON(w, map[string]any{
+		writeIndented(w, map[string]any{
 			"name":    name,
 			"count":   h.Count(),
 			"mean_ns": h.Mean(),
@@ -112,7 +112,9 @@ func NewProviderHandler(get func() *counters.Registry) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeIndented serves the operator-facing counter JSON, pretty-printed for
+// curl.
+func writeIndented(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -132,49 +134,4 @@ func Serve(addr string, reg *counters.Registry) (*http.Server, <-chan error) {
 		}
 	}()
 	return srv, errc
-}
-
-// writePrometheus renders the registry in the Prometheus text exposition
-// format, mapping counter paths to metric names (slashes and hyphens to
-// underscores, instance decorations to labels).
-func writePrometheus(w http.ResponseWriter, reg *counters.Registry) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		metric, labels := promName(name)
-		fmt.Fprintf(w, "%s%s %g\n", metric, labels, snap[name])
-	}
-}
-
-// promName converts "/threads{worker-thread#3}/count/pending-accesses" to
-// ("taskgrain_threads_count_pending_accesses", `{worker="3"}`).
-func promName(path string) (metric, labels string) {
-	name := path
-	if i := strings.Index(name, "{worker-thread#"); i >= 0 {
-		j := strings.Index(name[i:], "}")
-		if j > 0 {
-			worker := name[i+len("{worker-thread#") : i+j]
-			labels = fmt.Sprintf(`{worker=%q}`, worker)
-			name = name[:i] + name[i+j+1:]
-		}
-	}
-	mapper := func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}
-	metric = "taskgrain" + strings.Map(mapper, name)
-	metric = strings.Trim(metric, "_")
-	for strings.Contains(metric, "__") {
-		metric = strings.ReplaceAll(metric, "__", "_")
-	}
-	return metric, labels
 }

@@ -196,25 +196,16 @@ func TestPrometheusEndpoint(t *testing.T) {
 		t.Fatalf("code %d", code)
 	}
 	for _, want := range []string{
-		"taskgrain_threads_count_pending_accesses 41",
-		"taskgrain_threads_count_stolen 9",
-		`taskgrain_threads_count_stolen{worker="1"} 9`,
-		`taskgrain_threads_count_stolen{worker="0"} 0`,
+		"# TYPE taskgrain_threads_count_stolen counter",
+		"taskgrain_threads_count_pending_accesses_total 41",
+		"taskgrain_threads_count_stolen_total 9",
+		`taskgrain_threads_count_stolen_total{worker="1"} 9`,
+		`taskgrain_threads_count_stolen_total{worker="0"} 0`,
+		"# EOF",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
-	}
-}
-
-func TestPromName(t *testing.T) {
-	m, l := promName("/threads/idle-rate")
-	if m != "taskgrain_threads_idle_rate" || l != "" {
-		t.Fatalf("promName = %q %q", m, l)
-	}
-	m, l = promName("/threads{worker-thread#12}/count/cumulative")
-	if m != "taskgrain_threads_count_cumulative" || l != `{worker="12"}` {
-		t.Fatalf("instance promName = %q %q", m, l)
 	}
 }
 

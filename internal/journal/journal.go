@@ -124,7 +124,7 @@ type Journal struct {
 
 	// Stats, exported for telemetry counters.
 	appends        atomic.Int64
-	appendsBatched atomic.Int64 // records that arrived via AppendBatch
+	appendsBatched atomic.Int64 // records that shared their write with batch-mates
 	fsyncs         atomic.Int64
 	lastGroup      atomic.Int64 // records covered by the most recent group commit
 	torn           atomic.Int64 // torn-tail truncations performed at Open
@@ -188,55 +188,12 @@ func (j *Journal) openSegmentLocked(firstLSN LSN) error {
 	return syncDir(j.dir)
 }
 
-// Append writes one framed record and returns its LSN. Durability on return
-// follows the fsync policy: guaranteed under always, within FsyncInterval
-// under interval, at the OS's leisure under none.
+// Append writes one framed record and returns its LSN: AppendBatch with a
+// batch of one. Durability on return follows the fsync policy: guaranteed
+// under always, within FsyncInterval under interval, at the OS's leisure
+// under none.
 func (j *Journal) Append(payload []byte) (LSN, error) {
-	if len(payload) == 0 || len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("journal: record size %d out of (0,%d]", len(payload), maxRecordBytes)
-	}
-	if j.killed.Load() {
-		return 0, ErrKilled
-	}
-	frame := EncodeRecord(payload)
-
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if j.killed.Load() { // re-check under the lock; Kill wins races
-		j.mu.Unlock()
-		return 0, ErrKilled
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		j.mu.Unlock()
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	lsn := j.next
-	j.next++
-	j.appended = lsn
-	j.segSize += int64(len(frame))
-	j.appends.Add(1)
-
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.mu.Unlock()
-			return 0, fmt.Errorf("journal: %w", err)
-		}
-		j.fsyncs.Add(1)
-		j.lastGroup.Store(int64(lsn - j.durable))
-		j.durable = lsn
-	}
-	var rotateErr error
-	if j.segSize >= j.opts.SegmentBytes {
-		rotateErr = j.rotateLocked()
-	}
-	j.mu.Unlock()
-	if rotateErr != nil {
-		return lsn, rotateErr
-	}
-	return lsn, nil
+	return j.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes a batch of framed records under one lock acquisition
@@ -264,45 +221,39 @@ func (j *Journal) AppendBatch(payloads [][]byte) (LSN, error) {
 	// boundary plus at most one torn record — exactly what recovery handles.
 	buf := make([]byte, 0, total)
 	for _, p := range payloads {
-		buf = append(buf, EncodeRecord(p)...)
+		buf = appendFrame(buf, p)
 	}
 
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if j.killed.Load() { // re-check under the lock; Kill wins races
-		j.mu.Unlock()
 		return 0, ErrKilled
 	}
 	if _, err := j.f.Write(buf); err != nil {
-		j.mu.Unlock()
 		return 0, fmt.Errorf("journal: %w", err)
 	}
+	n := LSN(len(payloads))
 	first := j.next
-	j.next += LSN(len(payloads))
+	j.next += n
 	j.appended = j.next - 1
 	j.segSize += int64(total)
-	j.appends.Add(int64(len(payloads)))
-	j.appendsBatched.Add(int64(len(payloads)))
+	j.appends.Add(int64(n))
+	if n > 1 {
+		j.appendsBatched.Add(int64(n))
+	}
 
 	if j.opts.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.mu.Unlock()
-			return 0, fmt.Errorf("journal: %w", err)
+		if err := j.syncLocked(); err != nil {
+			return 0, err
 		}
-		j.fsyncs.Add(1)
-		j.lastGroup.Store(int64(j.appended - j.durable))
-		j.durable = j.appended
 	}
-	var rotateErr error
 	if j.segSize >= j.opts.SegmentBytes {
-		rotateErr = j.rotateLocked()
-	}
-	j.mu.Unlock()
-	if rotateErr != nil {
-		return first, rotateErr
+		if err := j.rotateLocked(); err != nil {
+			return first, err
+		}
 	}
 	return first, nil
 }
@@ -338,13 +289,7 @@ func (j *Journal) syncLoop() {
 			return
 		case <-tick.C:
 			j.mu.Lock()
-			if !j.closed && !j.killed.Load() && j.appended > j.durable {
-				if err := j.f.Sync(); err == nil {
-					j.fsyncs.Add(1)
-					j.lastGroup.Store(int64(j.appended - j.durable))
-					j.durable = j.appended
-				}
-			}
+			_ = j.syncLocked() // a failed flush is retried at the next tick
 			j.mu.Unlock()
 		}
 	}
@@ -358,6 +303,8 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
+// syncLocked fsyncs the tail segment if it holds records no fsync has
+// covered yet — the one flush every policy goes through. Caller holds j.mu.
 func (j *Journal) syncLocked() error {
 	if j.killed.Load() {
 		return ErrKilled
@@ -501,9 +448,9 @@ func (j *Journal) LastLSN() LSN {
 // Appends returns how many records have been appended.
 func (j *Journal) Appends() int64 { return j.appends.Load() }
 
-// AppendsBatched returns how many records arrived via AppendBatch — records
-// whose frame write (and, under always, whose fsync) was shared with the
-// rest of their batch.
+// AppendsBatched returns how many records arrived in a batch of two or more
+// — records whose frame write (and, under always, whose fsync) was shared
+// with the rest of their batch.
 func (j *Journal) AppendsBatched() int64 { return j.appendsBatched.Load() }
 
 // Fsyncs returns how many fsyncs have been issued.
@@ -519,11 +466,14 @@ func (j *Journal) TornTruncations() int64 { return j.torn.Load() }
 
 // EncodeRecord frames one payload: length, CRC32C, payload.
 func EncodeRecord(payload []byte) []byte {
-	frame := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerBytes:], payload)
-	return frame
+	return appendFrame(make([]byte, 0, headerBytes+len(payload)), payload)
+}
+
+// appendFrame appends one payload's frame to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
 }
 
 // DecodeRecord parses one frame from the front of b, returning the payload

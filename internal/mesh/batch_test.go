@@ -11,6 +11,7 @@ import (
 
 	"taskgrain/internal/config"
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 )
 
 // meshBatchReply mirrors the gateway's POST /v1/jobs/batch response.
@@ -178,13 +179,13 @@ func TestMeshSubmitUnwindsOnClientCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	status, _, retryAfter := m.submit(ctx, []byte(`{"kind":"fibonacci","size":10}`), trace.SpanContext{})
+	res := m.admit(ctx, []wire.JobSpec{{Kind: "fibonacci", Size: 10}}, trace.SpanContext{}, false)[0]
 	elapsed := time.Since(start)
 
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("canceled submit status = %d, want 503 (last refusal relayed)", status)
+	if res.Status != http.StatusServiceUnavailable {
+		t.Fatalf("canceled submit status = %d, want 503 (last refusal relayed)", res.Status)
 	}
-	if retryAfter <= 0 {
+	if res.RetryAfter <= 0 {
 		t.Fatal("canceled submit lost its Retry-After hint")
 	}
 	if elapsed > 1500*time.Millisecond {
@@ -233,28 +234,21 @@ func TestMeshBatchUnwindsOnClientCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	status, body, retryAfter := m.submitBatch(ctx, []byte(fibBatch(3)), trace.SpanContext{})
+	spec := wire.JobSpec{Kind: "fibonacci", Size: 10}
+	results := m.admit(ctx, []wire.JobSpec{spec, spec, spec}, trace.SpanContext{}, true)
 	elapsed := time.Since(start)
 
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("canceled batch status = %d, want 503", status)
-	}
-	if retryAfter <= 0 {
-		t.Fatal("canceled batch lost its Retry-After hint")
-	}
 	if elapsed > 1500*time.Millisecond {
 		t.Fatalf("canceled batch unwound in %v — it served out the backoff instead of aborting", elapsed)
 	}
-	reply, _ := body.(map[string]any)
-	if reply == nil || reply["admitted"] != 0 || reply["shed"] != 3 {
-		t.Fatalf("canceled batch reply = %+v, want 0 admitted / 3 shed", body)
+	if len(results) != 3 {
+		t.Fatalf("canceled batch reply = %+v, want 3 shed items", results)
 	}
-	results, _ := reply["results"].([]map[string]any)
 	for i, r := range results {
-		if r["status"] != http.StatusServiceUnavailable {
-			t.Fatalf("item %d status = %v, want 503", i, r["status"])
+		if r.Status != http.StatusServiceUnavailable {
+			t.Fatalf("item %d status = %v, want 503", i, r.Status)
 		}
-		if ra, _ := r["retry_after_s"].(int); ra < 1 {
+		if r.RetryAfter < 1 {
 			t.Fatalf("item %d missing retry_after_s: %+v", i, r)
 		}
 	}

@@ -2,25 +2,13 @@ package mesh
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"taskgrain/internal/introspect"
 	"taskgrain/internal/telemetry"
 	"taskgrain/internal/trace"
-)
-
-const (
-	maxSubmitBody = 1 << 16
-	// maxBatchBody bounds a batch submission: max_batch_jobs specs of a few
-	// hundred bytes each fit comfortably in 1 MiB.
-	maxBatchBody       = 1 << 20
-	waitTimeoutDefault = 30 * time.Second
-	waitTimeoutMax     = 5 * time.Minute
+	"taskgrain/internal/wire"
 )
 
 // Handler returns the gateway's HTTP surface: the same /v1/jobs API the
@@ -33,67 +21,48 @@ const (
 // advisory, or vetoed), and the introspect /debug namespace.
 func (m *Mesh) Handler() http.Handler {
 	mux := http.NewServeMux()
+	get := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet {
+				wire.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+				return
+			}
+			h(w, r)
+		})
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/v1/jobs", m.handleJobs)
 	// The exact pattern outranks the /v1/jobs/ subtree, so batch submissions
 	// never read as a job ID named "batch".
 	mux.HandleFunc("/v1/jobs/batch", m.handleBatch)
 	mux.HandleFunc("/v1/jobs/", m.handleJob)
-	mux.HandleFunc("/v1/nodes", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"nodes": m.nodes.Statuses()})
+	get("/v1/nodes", func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"nodes": m.nodes.Statuses()})
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, m.StatsSnapshot())
+	get("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, m.StatsSnapshot())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		m.serveMetrics(w, telemetry.PointsFromRegistry(m.reg, map[string]string{"node": m.cfg.Addr}))
+	get("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		telemetry.ServeOpenMetrics(w, telemetry.PointsFromRegistry(m.reg, map[string]string{"node": m.cfg.Addr}))
 	})
-	mux.HandleFunc("/mesh/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		m.serveMetrics(w, m.clusterPoints())
+	get("/mesh/metrics", func(w http.ResponseWriter, r *http.Request) {
+		telemetry.ServeOpenMetrics(w, m.clusterPoints())
 	})
-	mux.HandleFunc("/control/decisions", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
+	get("/control/decisions", func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, map[string]any{
 			"mode":      string(m.mode),
 			"decisions": m.rec.Log(),
 		})
 	})
-	mux.HandleFunc("/telemetry/alerts", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"alerts": m.Alerts()})
+	get("/telemetry/alerts", func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"alerts": m.Alerts()})
 	})
-	mux.HandleFunc("/mesh/trace", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	get("/mesh/trace", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
 		if err := m.tracer.WriteChromeJSON(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+			wire.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -101,18 +70,6 @@ func (m *Mesh) Handler() http.Handler {
 	})
 	mux.Handle("/debug/", http.StripPrefix("/debug", introspect.NewHandler(m.reg)))
 	return mux
-}
-
-// serveMetrics renders points as an OpenMetrics exposition, buffering so an
-// encoding error can still become a clean 500 instead of a torn response.
-func (m *Mesh) serveMetrics(w http.ResponseWriter, points []telemetry.MetricPoint) {
-	var buf bytes.Buffer
-	if err := telemetry.WriteOpenMetrics(&buf, points); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_, _ = w.Write(buf.Bytes())
 }
 
 // clusterPoints assembles the /mesh/metrics exposition: the gateway's own
@@ -138,20 +95,18 @@ func (m *Mesh) clusterPoints() []telemetry.MetricPoint {
 func (m *Mesh) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBody))
+		// Decoded as strictly as the node would, so an unknown field is a 400
+		// here rather than a field the typed round-trip silently drops.
+		spec, err := wire.DecodeSpec(w, r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "unreadable body")
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		// A valid incoming trace header makes the mesh job a child of the
 		// client's span; a malformed one is ignored (the job is traced under
 		// a fresh root), mirroring the node-side leniency.
 		parent, _ := trace.ParseSpanContext(r.Header.Get(trace.Header))
-		status, body, retryAfter := m.submit(r.Context(), raw, parent)
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retryAfter)))
-		}
-		writeJSON(w, status, body)
+		wire.WriteItem(w, m.admit(r.Context(), []wire.JobSpec{spec}, parent, false)[0])
 	case http.MethodGet:
 		jobs := m.jobs.list()
 		out := make([]map[string]any, 0, len(jobs))
@@ -166,9 +121,9 @@ func (m *Mesh) handleJobs(w http.ResponseWriter, r *http.Request) {
 				"spills":  spills,
 			})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "use POST or GET")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "use POST or GET")
 	}
 }
 
@@ -177,20 +132,16 @@ func (m *Mesh) handleJobs(w http.ResponseWriter, r *http.Request) {
 // and stitch the per-item results back in request order.
 func (m *Mesh) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
+	specs, err := wire.DecodeBatch(w, r, m.cfg.MaxBatchJobs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "unreadable body")
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	parent, _ := trace.ParseSpanContext(r.Header.Get(trace.Header))
-	status, body, retryAfter := m.submitBatch(r.Context(), raw, parent)
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retryAfter)))
-	}
-	writeJSON(w, status, body)
+	wire.WriteBatch(w, m.admit(r.Context(), specs, parent, true))
 }
 
 // handleJob serves GET /v1/jobs/{id} (status relay, with ?wait=true&timeout=
@@ -198,66 +149,27 @@ func (m *Mesh) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (m *Mesh) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such job")
+		wire.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	job, ok := m.jobs.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		wire.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		waitTimeout, err := parseWait(r)
+		// The raw query is relayed to the node, so it is judged here by the
+		// parser the node will apply to it.
+		waitTimeout, err := wire.WaitTimeout(r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		status, body := m.relayStatus(job, r.URL.RawQuery, waitTimeout)
-		writeJSON(w, status, body)
+		wire.WriteItem(w, m.relayStatus(job, r.URL.RawQuery, waitTimeout))
 	case http.MethodDelete:
-		status, body := m.relayCancel(job)
-		writeJSON(w, status, body)
+		wire.WriteItem(w, m.relayCancel(job))
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or DELETE")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "use GET or DELETE")
 	}
-}
-
-// parseWait parses the ?wait=true&timeout= long-poll parameters, mirroring
-// the node-side semantics so the raw query can be relayed verbatim. Returns
-// 0 when the request is a plain poll.
-func parseWait(r *http.Request) (time.Duration, error) {
-	q := r.URL.Query()
-	wait, _ := strconv.ParseBool(q.Get("wait"))
-	if !wait {
-		return 0, nil
-	}
-	timeout := waitTimeoutDefault
-	if ts := q.Get("timeout"); ts != "" {
-		d, err := time.ParseDuration(ts)
-		if err != nil || d <= 0 {
-			return 0, errBadTimeout(ts)
-		}
-		timeout = d
-	}
-	if timeout > waitTimeoutMax {
-		timeout = waitTimeoutMax
-	}
-	return timeout, nil
-}
-
-type badTimeout string
-
-func errBadTimeout(s string) error { return badTimeout(s) }
-
-func (b badTimeout) Error() string { return "bad timeout " + strconv.Quote(string(b)) }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

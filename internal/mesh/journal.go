@@ -10,6 +10,7 @@ import (
 
 	"taskgrain/internal/counters"
 	"taskgrain/internal/journal"
+	"taskgrain/internal/wire"
 )
 
 // Gateway journal record kinds: place (a node admitted the job at a new
@@ -22,28 +23,28 @@ const (
 
 // meshWalRecord is one journaled placement-epoch transition.
 type meshWalRecord struct {
-	T         string          `json:"t"`
-	ID        string          `json:"id"`
-	Key       string          `json:"key,omitempty"`
-	Kind      string          `json:"kind,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Node      string          `json:"node,omitempty"`
-	NodeJobID string          `json:"node_job_id,omitempty"`
-	Epoch     int             `json:"epoch,omitempty"`
-	State     string          `json:"state,omitempty"`
+	T         string        `json:"t"`
+	ID        string        `json:"id"`
+	Key       string        `json:"key,omitempty"`
+	Kind      string        `json:"kind,omitempty"`
+	Spec      *wire.JobSpec `json:"spec,omitempty"`
+	Node      string        `json:"node,omitempty"`
+	NodeJobID string        `json:"node_job_id,omitempty"`
+	Epoch     int           `json:"epoch,omitempty"`
+	State     wire.JobState `json:"state,omitempty"`
 }
 
 // meshSnapJob is one job inside a gateway compaction snapshot.
 type meshSnapJob struct {
-	ID        string          `json:"id"`
-	Key       string          `json:"key,omitempty"`
-	Kind      string          `json:"kind,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Node      string          `json:"node,omitempty"`
-	NodeJobID string          `json:"node_job_id,omitempty"`
-	Epoch     int             `json:"epoch"`
-	Terminal  bool            `json:"terminal,omitempty"`
-	State     string          `json:"state,omitempty"`
+	ID        string        `json:"id"`
+	Key       string        `json:"key,omitempty"`
+	Kind      string        `json:"kind,omitempty"`
+	Spec      *wire.JobSpec `json:"spec,omitempty"`
+	Node      string        `json:"node,omitempty"`
+	NodeJobID string        `json:"node_job_id,omitempty"`
+	Epoch     int           `json:"epoch"`
+	Terminal  bool          `json:"terminal,omitempty"`
+	State     wire.JobState `json:"state,omitempty"`
 }
 
 // meshSnapshot is the full-store state a gateway compaction writes.
@@ -63,15 +64,8 @@ func (m *Mesh) setupJournal() error {
 		return fmt.Errorf("mesh: journal recovery: %w", err)
 	}
 
-	type recJob struct {
-		id, key, kind   string
-		spec            json.RawMessage
-		node, nodeJobID string
-		epoch           int
-		terminal        bool
-		state           string
-	}
-	byID := make(map[string]*recJob)
+	// The replay accumulator per job is its snapshot form.
+	byID := make(map[string]*meshSnapJob)
 	var order []string
 	var snapNextID uint64
 	if rec.Snapshot != nil {
@@ -80,13 +74,9 @@ func (m *Mesh) setupJournal() error {
 			return fmt.Errorf("mesh: journal snapshot: %w", err)
 		}
 		snapNextID = snap.NextID
-		for _, sj := range snap.Jobs {
-			byID[sj.ID] = &recJob{
-				id: sj.ID, key: sj.Key, kind: sj.Kind, spec: sj.Spec,
-				node: sj.Node, nodeJobID: sj.NodeJobID, epoch: sj.Epoch,
-				terminal: sj.Terminal, state: sj.State,
-			}
-			order = append(order, sj.ID)
+		for i := range snap.Jobs {
+			byID[snap.Jobs[i].ID] = &snap.Jobs[i]
+			order = append(order, snap.Jobs[i].ID)
 		}
 	}
 	for _, r := range rec.Records {
@@ -98,16 +88,16 @@ func (m *Mesh) setupJournal() error {
 		case meshWalPlace:
 			rj, ok := byID[w.ID]
 			if !ok {
-				rj = &recJob{id: w.ID}
+				rj = &meshSnapJob{ID: w.ID}
 				byID[w.ID] = rj
 				order = append(order, w.ID)
 			}
-			rj.key, rj.kind, rj.spec = w.Key, w.Kind, w.Spec
-			rj.node, rj.nodeJobID, rj.epoch = w.Node, w.NodeJobID, w.Epoch
+			rj.Key, rj.Kind, rj.Spec = w.Key, w.Kind, w.Spec
+			rj.Node, rj.NodeJobID, rj.Epoch = w.Node, w.NodeJobID, w.Epoch
 		case meshWalTerm:
-			if rj, ok := byID[w.ID]; ok && !rj.terminal {
-				rj.terminal = true
-				rj.state = w.State
+			if rj, ok := byID[w.ID]; ok && !rj.Terminal {
+				rj.Terminal = true
+				rj.State = w.State
 			}
 		}
 	}
@@ -115,17 +105,17 @@ func (m *Mesh) setupJournal() error {
 	now := time.Now()
 	for _, id := range order {
 		rj := byID[id]
-		num, _ := strconv.ParseUint(strings.TrimPrefix(rj.id, "m-"), 10, 64)
+		num, _ := strconv.ParseUint(strings.TrimPrefix(rj.ID, "m-"), 10, 64)
 		j := &meshJob{
-			id:        rj.id,
-			key:       rj.key,
-			kind:      rj.kind,
+			id:        rj.ID,
+			key:       rj.Key,
+			kind:      rj.Kind,
 			num:       num,
-			spec:      rj.spec,
-			nodeJobID: rj.nodeJobID,
-			epoch:     rj.epoch,
-			terminal:  rj.terminal,
-			state:     rj.state,
+			spec:      rj.Spec,
+			nodeJobID: rj.NodeJobID,
+			epoch:     rj.Epoch,
+			terminal:  rj.Terminal,
+			state:     rj.State,
 			submitted: now,
 			touched:   now,
 		}
@@ -133,15 +123,15 @@ func (m *Mesh) setupJournal() error {
 		// no longer configured leaves the placement empty and the job polls
 		// as unplaced until a failover re-places it.
 		for _, n := range m.nodes.Nodes() {
-			if n.name == rj.node {
+			if n.name == rj.Node {
 				j.node = n
 				break
 			}
 		}
-		if rj.terminal {
+		if rj.Terminal {
 			// A synthetic last view keeps cachedView serving the verdict even
 			// though the full node response died with the old process.
-			j.lastView = map[string]any{"id": rj.nodeJobID, "state": rj.state}
+			j.lastView = &wire.JobView{ID: rj.NodeJobID, State: rj.State}
 		}
 		m.jobs.restore(j)
 	}
@@ -209,7 +199,7 @@ func (m *Mesh) journalPlace(job *meshJob) {
 	job.mu.Lock()
 	rec := meshWalRecord{
 		T: meshWalPlace, ID: job.id, Key: job.key, Kind: job.kind,
-		Spec: json.RawMessage(job.spec), NodeJobID: job.nodeJobID, Epoch: job.epoch,
+		Spec: job.spec, NodeJobID: job.nodeJobID, Epoch: job.epoch,
 	}
 	if job.node != nil {
 		rec.Node = job.node.name
@@ -237,7 +227,7 @@ func (m *Mesh) journalCompact() {
 	for _, j := range jobs {
 		j.mu.Lock()
 		sj := meshSnapJob{
-			ID: j.id, Key: j.key, Kind: j.kind, Spec: json.RawMessage(j.spec),
+			ID: j.id, Key: j.key, Kind: j.kind, Spec: j.spec,
 			NodeJobID: j.nodeJobID, Epoch: j.epoch, Terminal: j.terminal, State: j.state,
 		}
 		if j.node != nil {

@@ -8,6 +8,7 @@ import (
 
 	"taskgrain/internal/journal"
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 )
 
 // TestMeshJournalGatewayRestart covers the gateway durability path: placement
@@ -31,15 +32,14 @@ func TestMeshJournalGatewayRestart(t *testing.T) {
 	})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		status, body, _ := m1.submit(context.Background(), []byte(`{"kind":"fibonacci","size":10}`), trace.SpanContext{})
-		if status != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d (%v)", i, status, body)
+		res := m1.admit(context.Background(), []wire.JobSpec{{Kind: "fibonacci", Size: 10}}, trace.SpanContext{}, false)[0]
+		if res.Status != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d (%v)", i, res.Status, res.Error)
 		}
-		id, _ := body.(map[string]any)["id"].(string)
-		if id == "" {
-			t.Fatalf("submit %d: no mesh id in %v", i, body)
+		if res.Job.ID == "" {
+			t.Fatalf("submit %d: no mesh id in %+v", i, res.Job)
 		}
-		ids = append(ids, id)
+		ids = append(ids, res.Job.ID)
 	}
 	m1.Crash()
 
@@ -60,16 +60,15 @@ func TestMeshJournalGatewayRestart(t *testing.T) {
 		if n == nil || nodeID == "" {
 			t.Fatalf("job %s recovered without its placement (node=%v nodeID=%q)", id, n, nodeID)
 		}
-		status, body := m2.relayStatus(j, "", 0)
-		if status != http.StatusOK {
-			t.Fatalf("recovered job %s poll: status %d (%v)", id, status, body)
+		res := m2.relayStatus(j, "", 0)
+		if res.Status != http.StatusOK {
+			t.Fatalf("recovered job %s poll: status %d (%v)", id, res.Status, res.Error)
 		}
-		view := body.(map[string]any)
-		if view["id"] != id {
-			t.Fatalf("recovered job poll returned id %v, want mesh id %s", view["id"], id)
+		if res.Job.ID != id {
+			t.Fatalf("recovered job poll returned id %v, want mesh id %s", res.Job.ID, id)
 		}
-		if view["state"] != "done" {
-			t.Fatalf("recovered job %s state = %v, want done", id, view["state"])
+		if res.Job.State != wire.JobDone {
+			t.Fatalf("recovered job %s state = %v, want done", id, res.Job.State)
 		}
 	}
 	m2.Stop()
@@ -96,9 +95,9 @@ func TestMeshJournalGatewayRestart(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s lost across second restart", id)
 		}
-		status, body, served := m3.cachedView(j)
-		if !served || status != http.StatusOK {
-			t.Fatalf("job %s terminal verdict not recovered (served=%v status=%d %v)", id, served, status, body)
+		res, served := m3.cachedView(j)
+		if !served || res.Status != http.StatusOK {
+			t.Fatalf("job %s terminal verdict not recovered (served=%v %+v)", id, served, res)
 		}
 	}
 }
@@ -120,11 +119,11 @@ func TestMeshJournalUnknownNodePlacement(t *testing.T) {
 	waitFor(t, 5*time.Second, "node routable", func() bool {
 		return len(m1.nodes.Routable()) == 1
 	})
-	status, body, _ := m1.submit(context.Background(), []byte(`{"kind":"fibonacci","size":10}`), trace.SpanContext{})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: status %d (%v)", status, body)
+	res := m1.admit(context.Background(), []wire.JobSpec{{Kind: "fibonacci", Size: 10}}, trace.SpanContext{}, false)[0]
+	if res.Status != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%v)", res.Status, res.Error)
 	}
-	id, _ := body.(map[string]any)["id"].(string)
+	id := res.Job.ID
 	m1.Crash()
 
 	// Restart over the same journal with a different node set.
@@ -144,7 +143,7 @@ func TestMeshJournalUnknownNodePlacement(t *testing.T) {
 	if n != nil {
 		t.Fatalf("placement bound to %s, want unplaced (old node is not configured)", n.name)
 	}
-	if st, _ := m2.relayStatus(j, "", 0); st != http.StatusServiceUnavailable {
+	if st := m2.relayStatus(j, "", 0).Status; st != http.StatusServiceUnavailable {
 		t.Fatalf("unplaced recovered job poll: status %d, want 503", st)
 	}
 }

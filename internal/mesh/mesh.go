@@ -20,7 +20,6 @@
 package mesh
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -470,18 +469,12 @@ func (m *Mesh) postGrainHint(n *Node, hints map[string]int) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.Base()+"/control/hint", bytes.NewReader(body))
+	resp, err := m.do(ctx, http.MethodPost, n.Base()+"/control/hint", body, trace.SpanContext{})
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("mesh: %s /control/hint: %d", n.Name(), resp.StatusCode)
+	if resp.status != http.StatusOK {
+		return fmt.Errorf("mesh: %s /control/hint: %d", n.Name(), resp.status)
 	}
 	return nil
 }
@@ -499,12 +492,7 @@ func (m *Mesh) lane(target *Node) int {
 
 // traceHop records one routing hop on the target node's lane and counts it.
 func (m *Mesh) traceHop(kind trace.Kind, n *Node, job *meshJob) {
-	m.tracer.Record(trace.Event{
-		Kind:   kind,
-		TaskID: job.num,
-		Worker: m.lane(n),
-		TsNs:   m.traceNow(),
-	})
+	m.traceSpan(kind, n, job)
 	m.hopsC.Inc()
 }
 

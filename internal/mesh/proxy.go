@@ -11,27 +11,50 @@ import (
 	"time"
 
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 )
 
-// nodeResponse is one relayed node reply: the HTTP status, the decoded JSON
-// body (nil if undecodable), and the Retry-After hint if present.
-type nodeResponse struct {
+// nodeReply is one node reply: the HTTP status, the raw body, and the
+// Retry-After hint if present.
+type nodeReply struct {
 	status     int
-	body       map[string]any
+	body       []byte
 	retryAfter time.Duration
 }
 
-// doJSON performs one request against a node and decodes the JSON reply.
-// span, when valid, rides the Taskgrain-Trace header so the node stamps the
-// job with the cross-hop trace identity.
-func (m *Mesh) doJSON(ctx context.Context, method, url string, body []byte, span trace.SpanContext) (nodeResponse, error) {
+// view decodes the reply as a job view. A node's error body decodes too,
+// leaving ID empty and Error set; an undecodable body yields the zero view.
+func (r nodeReply) view() wire.JobView {
+	var v wire.JobView
+	_ = json.Unmarshal(r.body, &v)
+	return v
+}
+
+// item renders the whole reply as one job's result: the status, the view
+// when the node admitted, the refusal's reason and Retry-After otherwise.
+func (r nodeReply) item() wire.BatchItem {
+	view := r.view()
+	it := wire.BatchItem{Status: r.status, Error: view.Error}
+	if r.status == http.StatusAccepted {
+		it.Job = &view
+	}
+	if r.retryAfter > 0 {
+		it.RetryAfter = wire.RetryAfterSeconds(r.retryAfter)
+	}
+	return it
+}
+
+// do performs one request against a node. span, when valid, rides the
+// Taskgrain-Trace header so the node stamps the job with the cross-hop trace
+// identity.
+func (m *Mesh) do(ctx context.Context, method, url string, body []byte, span trace.SpanContext) (nodeReply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return nodeResponse{}, err
+		return nodeReply{}, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -41,20 +64,18 @@ func (m *Mesh) doJSON(ctx context.Context, method, url string, body []byte, span
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return nodeResponse{}, err
+		return nodeReply{}, err
 	}
 	defer resp.Body.Close()
-	out := nodeResponse{status: resp.StatusCode}
-	out.retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return nodeResponse{}, err
+		return nodeReply{}, err
 	}
-	var v map[string]any
-	if json.Unmarshal(raw, &v) == nil {
-		out.body = v
-	}
-	return out, nil
+	return nodeReply{
+		status:     resp.StatusCode,
+		body:       raw,
+		retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+	}, nil
 }
 
 // parseRetryAfter interprets a Retry-After header value as a delay: the
@@ -78,218 +99,16 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// submit admits one job into the mesh: parse the spec far enough to route
-// it, stamp an idempotency key, mint (or adopt) the job's trace context, and
-// run the spillover placement loop. parent is the client's incoming trace
-// context — when valid the job joins that trace as a child span, otherwise
-// the gateway roots a fresh one. ctx is the client request's context: a
-// client that hangs up mid-placement unwinds the loop instead of serving out
-// the remaining backoff. It returns the HTTP status, the response payload for
-// the client, and the Retry-After hint to relay when the whole mesh shed.
-func (m *Mesh) submit(ctx context.Context, raw []byte, parent trace.SpanContext) (int, any, time.Duration) {
-	var spec map[string]any
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return http.StatusBadRequest, errBody(fmt.Sprintf("bad job spec: %v", err)), 0
-	}
-	kind, _ := spec["kind"].(string)
-
-	key, _ := spec["idempotency_key"].(string)
-	job := m.jobs.add(kind, key, nil)
-	if key == "" {
-		// Mesh-scoped key: failover resubmission replays instead of
-		// re-running if the suspect node turns out to be alive.
-		key = fmt.Sprintf("mesh-%s-%s", m.id, job.id)
-	}
-	spec["idempotency_key"] = key
-	span := trace.NewSpanContext()
-	if parent.Valid() {
-		span = parent.Child()
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		m.jobs.remove(job.id)
-		return http.StatusBadRequest, errBody(fmt.Sprintf("bad job spec: %v", err)), 0
-	}
-	job.mu.Lock()
-	job.key, job.spec, job.span = key, body, span
-	job.mu.Unlock()
-
-	resp, placed := m.placeJob(ctx, job, 0, false)
-	if !placed {
-		m.jobs.remove(job.id)
-		m.rejected.Inc()
-		return resp.status, resp.body, resp.retryAfter
-	}
-	m.submitted.Inc()
-	return http.StatusAccepted, m.augment(resp.body, job), 0
-}
-
-// placeJob runs the spillover loop for one job: rank the routable nodes for
-// the job's kind, try each best-first, and between passes honour the
-// smallest Retry-After hint seen (jittered, capped by MaxBackoff) — bounded
-// by MaxSubmitAttempts node tries in total (a pass that finds no routable
-// nodes consumes an attempt too, so the bound holds when the whole mesh is
-// down or draining). placed reports whether some
-// node admitted the job; when false the response describes the terminal
-// refusal for the client (mesh-level 503, or a node's own 4xx relayed
-// verbatim, which also ends the loop — a spec rejection will not get better
-// on another node). A canceled ctx ends the loop early with the last refusal;
-// failover passes context.Background() because a poller hanging up must never
-// abort the re-placement of a job that is already admitted.
-func (m *Mesh) placeJob(ctx context.Context, job *meshJob, fromEpoch int, isFailover bool) (nodeResponse, bool) {
-	attempts := 0
-	lastRefusal := nodeResponse{
-		status: http.StatusServiceUnavailable,
-		body:   errBody("no routable mesh nodes"),
-	}
-	for {
-		hint := time.Duration(0)
-		ranked := m.router.rank(job.kind)
-		if len(ranked) == 0 {
-			// Every node is down or draining. The empty pass still consumes
-			// an attempt — otherwise nothing would ever increment attempts
-			// and the loop would spin in backoff forever, wedging the
-			// client's POST (and, via failover, the job's failoverMu). The
-			// inter-pass backoff below gives heartbeats a chance to revive a
-			// node before the budget runs out.
-			attempts++
-			lastRefusal = nodeResponse{
-				status: http.StatusServiceUnavailable,
-				body:   errBody("no routable mesh nodes"),
-			}
-		}
-		for i := 0; i < len(ranked) && attempts < m.cfg.MaxSubmitAttempts; {
-			n := ranked[i]
-			attempts++
-			tryCtx, cancel := context.WithTimeout(ctx, m.cfg.RequestTimeout)
-			// Each hop gets its own child span of the job's root context, so
-			// the node-side trace_context distinguishes retries of the same
-			// job while sharing one trace ID.
-			resp, err := m.doJSON(tryCtx, http.MethodPost, n.base+"/v1/jobs", job.spec, job.traceSpan().Child())
-			cancel()
-			switch {
-			case err != nil:
-				if ctx.Err() != nil {
-					// The client hung up: the failure is ours, not the
-					// node's, so it is not marked unreachable. Unwind with
-					// the last refusal rather than burning the remaining
-					// attempts against a context every try will fail.
-					lastRefusal.retryAfter = maxDuration(hint, time.Second)
-					return lastRefusal, false
-				}
-				n.markUnreachable(m.cfg.DownAfter)
-				m.noteSpill(n, job)
-				i++
-			case resp.status == http.StatusAccepted:
-				id, _ := resp.body["id"].(string)
-				if id == "" {
-					// The node admitted a job but the reply carried no
-					// decodable ID. Re-placing elsewhere would orphan that
-					// admitted run, so replay the *same* node — the
-					// idempotency key turns the retry into a lookup of the
-					// job the node already holds — until the attempt budget
-					// runs out, at which point the anomaly is surfaced.
-					lastRefusal = nodeResponse{
-						status: http.StatusBadGateway,
-						body: errBody(fmt.Sprintf(
-							"node %s admitted the job but returned no id", n.name)),
-					}
-					continue
-				}
-				if !job.place(n, id, fromEpoch, isFailover) {
-					// A concurrent failover re-placed the job first. The
-					// idempotency key makes this submission a replay, not a
-					// duplicate run, only if it landed on the same node —
-					// placements are serialized by failoverMu precisely so
-					// this branch stays unreachable; it is kept as a guard.
-					return resp, true
-				}
-				if m.wal != nil {
-					m.journalPlace(job)
-				}
-				hop := trace.Route
-				if isFailover {
-					hop = trace.FailoverHop
-				}
-				m.traceHop(hop, n, job)
-				m.traceSpan(trace.PhaseBegin, n, job)
-				n.routed.Inc()
-				return resp, true
-			case resp.status == http.StatusTooManyRequests || resp.status == http.StatusServiceUnavailable:
-				// The shed path this whole loop exists for: spill over to
-				// the next-best node, remembering the backoff hint.
-				m.noteSpill(n, job)
-				if resp.retryAfter > 0 && (hint == 0 || resp.retryAfter < hint) {
-					hint = resp.retryAfter
-				}
-				lastRefusal = nodeResponse{
-					status: http.StatusServiceUnavailable,
-					body:   errBody(fmt.Sprintf("all mesh nodes shed (last: %s with %d)", n.name, resp.status)),
-				}
-				i++
-			default:
-				// Spec-level rejection (4xx): every node would refuse it the
-				// same way. Relay verbatim.
-				if resp.body == nil {
-					resp.body = errBody(fmt.Sprintf("node %s refused with %d", n.name, resp.status))
-				}
-				return resp, false
-			}
-		}
-		if attempts >= m.cfg.MaxSubmitAttempts {
-			lastRefusal.retryAfter = maxDuration(hint, time.Second)
-			return lastRefusal, false
-		}
-		if !m.backoff(ctx, hint) {
-			lastRefusal.retryAfter = maxDuration(hint, time.Second)
-			return lastRefusal, false
-		}
-	}
-}
-
-// noteSpill accounts one bounced submission attempt against a node.
-func (m *Mesh) noteSpill(n *Node, job *meshJob) {
-	n.spills.Inc()
-	m.spillsC.Inc()
-	m.traceHop(trace.SpillHop, n, job)
-	job.mu.Lock()
-	job.spills++
-	job.mu.Unlock()
-}
-
-// backoff waits between spillover passes: the Retry-After hint (default
-// 100ms when nodes gave none), capped by MaxBackoff, jittered into
-// [1/2, 1)× so synchronized retries from many clients decorrelate. The wait
-// ends early when ctx does — a client that hung up must unwind promptly, not
-// after the full backoff — reported as false so the caller can stop.
-func (m *Mesh) backoff(ctx context.Context, hint time.Duration) bool {
-	base := hint
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if base > m.cfg.MaxBackoff {
-		base = m.cfg.MaxBackoff
-	}
-	d := base/2 + time.Duration(m.rng.Int63n(int64(base/2)+1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // relayStatus forwards one status poll to the job's current node, hedging
 // long-polls and failing over when the node is gone. rawQuery carries the
 // client's wait/timeout parameters verbatim; waitTimeout is the parsed
-// long-poll bound (0 for a plain poll).
-func (m *Mesh) relayStatus(job *meshJob, rawQuery string, waitTimeout time.Duration) (int, any) {
+// long-poll bound (0 for a plain poll). The result is 200 with the view, or
+// the refusal's status and reason.
+func (m *Mesh) relayStatus(job *meshJob, rawQuery string, waitTimeout time.Duration) wire.BatchItem {
 	for attempt := 0; attempt <= m.cfg.MaxSubmitAttempts; attempt++ {
 		n, nodeID, epoch := job.placement()
 		if n == nil {
-			return http.StatusServiceUnavailable, errBody("job has no placement")
+			return wire.BatchItem{Status: http.StatusServiceUnavailable, Error: "job has no placement"}
 		}
 		url := n.base + "/v1/jobs/" + nodeID
 		if rawQuery != "" {
@@ -298,56 +117,58 @@ func (m *Mesh) relayStatus(job *meshJob, rawQuery string, waitTimeout time.Durat
 		resp, err := m.hedgedGet(n, url, nodeID, waitTimeout)
 		switch {
 		case err == nil && resp.status == http.StatusOK:
-			if job.observe(resp.body) {
-				m.terminalC.Inc()
-				m.traceSpan(trace.PhaseEnd, n, job)
-				if m.wal != nil {
-					m.journalTerm(job)
+			return m.observed(n, job, resp.view())
+		case err != nil || resp.status == http.StatusNotFound:
+			// The node died, or restarted (or evicted the job) so its
+			// jobStore no longer knows the ID. If we already saw a terminal
+			// state, serve the cached view; otherwise fail over.
+			if cached, ok := m.cachedView(job); ok {
+				return cached
+			}
+			if !m.failover(job, epoch) {
+				return wire.BatchItem{
+					Status: http.StatusServiceUnavailable,
+					Error:  fmt.Sprintf("node %s unreachable and no failover target admitted the job; retry", n.name),
 				}
 			}
-			return http.StatusOK, m.augment(resp.body, job)
-		case err == nil && resp.status == http.StatusNotFound:
-			// The node restarted (or evicted the job): its jobStore no
-			// longer knows the ID. If we already saw a terminal state,
-			// serve the cached view; otherwise treat it like a death.
-			if status, body, ok := m.cachedView(job); ok {
-				return status, body
-			}
-			if !m.failover(job, epoch) {
-				return m.unavailable(n)
-			}
-		case err != nil:
-			if status, body, ok := m.cachedView(job); ok {
-				return status, body
-			}
-			if !m.failover(job, epoch) {
-				return m.unavailable(n)
-			}
 		default:
-			if resp.body == nil {
-				resp.body = errBody(fmt.Sprintf("node %s answered %d", n.name, resp.status))
-			}
-			return resp.status, resp.body
+			return nodeRefusal(n, resp)
 		}
 	}
-	return http.StatusServiceUnavailable, errBody("job placement unstable; retry")
+	return wire.BatchItem{Status: http.StatusServiceUnavailable, Error: "job placement unstable; retry"}
+}
+
+// observed records a node's 200 view of the job — accounting the first
+// terminal observation — and renders it for the mesh client.
+func (m *Mesh) observed(n *Node, job *meshJob, view wire.JobView) wire.BatchItem {
+	if job.observe(view) {
+		m.terminalC.Inc()
+		m.traceSpan(trace.PhaseEnd, n, job)
+		if m.wal != nil {
+			m.journalTerm(job)
+		}
+	}
+	return wire.BatchItem{Status: http.StatusOK, Job: m.augment(view, job)}
+}
+
+// nodeRefusal relays a node's non-200 answer to a status or cancel request.
+func nodeRefusal(n *Node, resp nodeReply) wire.BatchItem {
+	msg := resp.view().Error
+	if msg == "" {
+		msg = fmt.Sprintf("node %s answered %d", n.name, resp.status)
+	}
+	return wire.BatchItem{Status: resp.status, Error: msg}
 }
 
 // cachedView serves the last observed node response if the job already
 // reached a terminal state — a node dying *after* finishing a job must not
 // un-finish it.
-func (m *Mesh) cachedView(job *meshJob) (int, any, bool) {
+func (m *Mesh) cachedView(job *meshJob) (wire.BatchItem, bool) {
 	_, _, _, terminal, _, lastView := job.snapshot()
 	if terminal && lastView != nil {
-		return http.StatusOK, m.augment(lastView, job), true
+		return wire.BatchItem{Status: http.StatusOK, Job: m.augment(*lastView, job)}, true
 	}
-	return 0, nil, false
-}
-
-// unavailable is the relay verdict when failover found no takers.
-func (m *Mesh) unavailable(n *Node) (int, any) {
-	return http.StatusServiceUnavailable,
-		errBody(fmt.Sprintf("node %s unreachable and no failover target admitted the job; retry", n.name))
+	return wire.BatchItem{}, false
 }
 
 // hedgedGet performs the status GET. For long-polls it hedges: if the
@@ -355,7 +176,7 @@ func (m *Mesh) unavailable(n *Node) (int, any) {
 // checks whether the node is still alive — a dead node fails the probe in
 // milliseconds instead of wedging the client for the whole long-poll
 // timeout, and a live node just keeps the primary running.
-func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration) (nodeResponse, error) {
+func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration) (nodeReply, error) {
 	budget := m.cfg.RequestTimeout
 	if waitTimeout > 0 {
 		budget += waitTimeout
@@ -364,12 +185,12 @@ func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration)
 	defer cancel()
 
 	type result struct {
-		resp nodeResponse
+		resp nodeReply
 		err  error
 	}
 	primary := make(chan result, 1)
 	go func() {
-		r, err := m.doJSON(ctx, http.MethodGet, url, nil, trace.SpanContext{})
+		r, err := m.do(ctx, http.MethodGet, url, nil, trace.SpanContext{})
 		primary <- result{r, err}
 	}()
 
@@ -386,13 +207,13 @@ func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration)
 			return r.resp, r.err
 		case <-hedge.C:
 			probeCtx, probeCancel := context.WithTimeout(context.Background(), m.cfg.RequestTimeout)
-			_, err := m.doJSON(probeCtx, http.MethodGet, n.base+"/v1/jobs/"+nodeID, nil, trace.SpanContext{})
+			_, err := m.do(probeCtx, http.MethodGet, n.base+"/v1/jobs/"+nodeID, nil, trace.SpanContext{})
 			probeCancel()
 			if err != nil {
 				// The node is gone; abandon the long-poll now.
 				cancel()
 				<-primary
-				return nodeResponse{}, fmt.Errorf("mesh: %s died during long-poll: %w", n.name, err)
+				return nodeReply{}, fmt.Errorf("mesh: %s died during long-poll: %w", n.name, err)
 			}
 			// Node alive — keep waiting on the primary, reprobing each
 			// HedgeDelay in case it dies later in the poll.
@@ -402,12 +223,13 @@ func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration)
 }
 
 // failover re-places a job whose node died mid-flight: mark the node
-// unreachable, resubmit the spec (same idempotency key — if the node was
-// merely slow and still holds the job, a future heartbeat revives it and
-// the key prevents a duplicate run on *that* node) to the next-best node,
-// and bump the retry count. Concurrent pollers serialize on failoverMu so
-// exactly one resubmission happens per placement epoch. Reports whether the
-// job has a live placement afterwards.
+// unreachable, run the job's replay spec (same idempotency key — if the node
+// was merely slow and still holds the job, a future heartbeat revives it and
+// the key prevents a duplicate run on *that* node) through the placement loop
+// as a batch of one carrying the observed epoch, and bump the retry count.
+// Concurrent pollers serialize on failoverMu so exactly one resubmission
+// happens per placement epoch. Reports whether the job has a live placement
+// afterwards.
 func (m *Mesh) failover(job *meshJob, fromEpoch int) bool {
 	job.failoverMu.Lock()
 	defer job.failoverMu.Unlock()
@@ -418,9 +240,9 @@ func (m *Mesh) failover(job *meshJob, fromEpoch int) bool {
 	if old != nil {
 		old.markUnreachable(m.cfg.DownAfter)
 	}
-	resp, placed := m.placeJob(context.Background(), job, fromEpoch, true)
-	_ = resp
-	if !placed {
+	it := newPlaceItem(job, fromEpoch, true)
+	m.place(context.Background(), []*placeItem{it}, false)
+	if it.view == nil {
 		return false
 	}
 	if old != nil {
@@ -431,64 +253,37 @@ func (m *Mesh) failover(job *meshJob, fromEpoch int) bool {
 }
 
 // relayCancel forwards a cancellation to the job's current node.
-func (m *Mesh) relayCancel(job *meshJob) (int, any) {
+func (m *Mesh) relayCancel(job *meshJob) wire.BatchItem {
 	n, nodeID, _ := job.placement()
 	if n == nil {
-		return http.StatusServiceUnavailable, errBody("job has no placement")
+		return wire.BatchItem{Status: http.StatusServiceUnavailable, Error: "job has no placement"}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := m.doJSON(ctx, http.MethodDelete, n.base+"/v1/jobs/"+nodeID, nil, trace.SpanContext{})
+	resp, err := m.do(ctx, http.MethodDelete, n.base+"/v1/jobs/"+nodeID, nil, trace.SpanContext{})
 	if err != nil {
 		n.markUnreachable(m.cfg.DownAfter)
-		return http.StatusBadGateway, errBody(fmt.Sprintf("node %s unreachable: %v", n.name, err))
-	}
-	if resp.status == http.StatusOK {
-		if job.observe(resp.body) {
-			m.terminalC.Inc()
-			m.traceSpan(trace.PhaseEnd, n, job)
-			if m.wal != nil {
-				m.journalTerm(job)
-			}
+		return wire.BatchItem{
+			Status: http.StatusBadGateway,
+			Error:  fmt.Sprintf("node %s unreachable: %v", n.name, err),
 		}
-		return http.StatusOK, m.augment(resp.body, job)
 	}
-	if resp.body == nil {
-		resp.body = errBody(fmt.Sprintf("node %s answered %d", n.name, resp.status))
+	if resp.status != http.StatusOK {
+		return nodeRefusal(n, resp)
 	}
-	return resp.status, resp.body
+	return m.observed(n, job, resp.view())
 }
 
 // augment rewrites a node job view for the mesh client: the ID becomes the
-// mesh-scoped ID (node-local IDs collide across nodes), and a "mesh"
-// object surfaces the placement, the failover retry count, the submission
-// spill count, and the trace ID shared by every hop of the job.
-func (m *Mesh) augment(view map[string]any, job *meshJob) map[string]any {
+// mesh-scoped ID (node-local IDs collide across nodes), and the mesh block
+// surfaces the placement, the failover retry count, the submission spill
+// count, and the trace ID shared by every hop of the job.
+func (m *Mesh) augment(view wire.JobView, job *meshJob) *wire.JobView {
 	node, retries, spills, _, _, _ := job.snapshot()
-	out := make(map[string]any, len(view)+2)
-	for k, v := range view {
-		out[k] = v
-	}
-	out["id"] = job.id
-	meshView := map[string]any{
-		"node":    node,
-		"retries": retries,
-		"spills":  spills,
-	}
+	view.ID = job.id
+	view.Mesh = &wire.MeshInfo{Node: node, Retries: retries, Spills: spills}
 	if span := job.traceSpan(); span.Valid() {
-		meshView["trace_id"] = fmt.Sprintf("%016x", span.TraceID)
+		view.Mesh.TraceID = fmt.Sprintf("%016x", span.TraceID)
 	}
-	out["mesh"] = meshView
-	return out
-}
-
-func errBody(msg string) map[string]any {
-	return map[string]any{"error": msg}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return &view
 }

@@ -6,17 +6,22 @@ import (
 	"time"
 
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 )
 
 // meshJob is one gateway-admitted submission: the mesh-scoped ID clients
-// poll, the idempotency key every (re)submission carries, the raw spec for
+// poll, the idempotency key every (re)submission carries, the spec for
 // failover replays, and the current node placement.
 type meshJob struct {
 	id   string
 	key  string
 	kind string
 	num  uint64 // numeric part of id; the trace TaskID for hop events
-	spec []byte // spec JSON as forwarded to nodes (includes the key)
+	// spec is the hop-independent replay form forwarded to nodes: key
+	// included, no trace_context (each hop stamps a fresh child span). It is
+	// never written through — the journal shares the pointer — and stays a
+	// pointer so the struct the eviction scans walk stays small.
+	spec *wire.JobSpec
 
 	// span is the job's root trace context: minted at submission (or
 	// adopted from the client's Taskgrain-Trace header), with a child span
@@ -38,8 +43,8 @@ type meshJob struct {
 	retries   int  // failover resubmissions
 	spills    int  // 429/transport spillovers during initial submit
 	terminal  bool // a terminal state has been observed
-	state     string
-	lastView  map[string]any // last node response; serves polls after the node dies
+	state     wire.JobState
+	lastView  *wire.JobView // last node response; serves polls after the node dies
 	submitted time.Time
 	touched   time.Time // last client contact; drives stale eviction
 }
@@ -60,6 +65,17 @@ func (j *meshJob) traceSpan() trace.SpanContext {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.span
+}
+
+// replaySpec returns the spec every (re)submission of the job forwards (the
+// zero spec for a job recovered from a journal record that carried none).
+func (j *meshJob) replaySpec() wire.JobSpec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.spec == nil {
+		return wire.JobSpec{}
+	}
+	return *j.spec
 }
 
 // placement returns the job's current node, node-local ID, and epoch.
@@ -87,27 +103,22 @@ func (j *meshJob) place(n *Node, nodeJobID string, fromEpoch int, isFailover boo
 	return true
 }
 
-// observe records a node response body for the job, tracking terminal
-// transitions. Reports whether this observation was the first terminal one.
-func (j *meshJob) observe(view map[string]any) (newlyTerminal bool) {
-	state, _ := view["state"].(string)
+// observe records a node's view of the job, tracking terminal transitions.
+// Reports whether this observation was the first terminal one.
+func (j *meshJob) observe(view wire.JobView) (newlyTerminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.terminal {
 		return false
 	}
-	j.state = state
-	j.lastView = view
-	switch state {
-	case "done", "failed", "cancelled":
-		j.terminal = true
-		return true
-	}
-	return false
+	j.state = view.State
+	j.lastView = &view
+	j.terminal = view.State.Terminal()
+	return j.terminal
 }
 
 // snapshot returns the job's mesh-level status fields.
-func (j *meshJob) snapshot() (node string, retries, spills int, terminal bool, state string, lastView map[string]any) {
+func (j *meshJob) snapshot() (node string, retries, spills int, terminal bool, state wire.JobState, lastView *wire.JobView) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.node != nil {
@@ -144,18 +155,17 @@ func newMeshStore() *meshStore {
 	return &meshStore{jobs: make(map[string]*meshJob)}
 }
 
-// add registers a new mesh job under a fresh "m-<n>" ID.
-func (st *meshStore) add(kind, key string, spec []byte) *meshJob {
+// add registers a new mesh job under a fresh "m-<n>" ID; the caller fills in
+// the key (which may embed that ID), spec and span.
+func (st *meshStore) add(kind string) *meshJob {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.nextID++
 	now := time.Now()
 	j := &meshJob{
 		id:        fmt.Sprintf("m-%d", st.nextID),
-		key:       key,
 		kind:      kind,
 		num:       st.nextID,
-		spec:      spec,
 		submitted: now,
 		touched:   now,
 	}

@@ -3,6 +3,8 @@ package mesh
 import (
 	"testing"
 	"time"
+
+	"taskgrain/internal/wire"
 )
 
 // backdateTouch makes a job look untouched for the given age.
@@ -18,10 +20,10 @@ func backdateTouch(j *meshJob, age time.Duration) {
 // jobs alone.
 func TestMeshStoreEvictStale(t *testing.T) {
 	st := newMeshStore()
-	abandoned := st.add("k", "", nil)
-	polled := st.add("k", "", nil)
-	term := st.add("k", "", nil)
-	term.observe(map[string]any{"state": "done"})
+	abandoned := st.add("k")
+	polled := st.add("k")
+	term := st.add("k")
+	term.observe(wire.JobView{State: wire.JobDone})
 
 	backdateTouch(abandoned, time.Hour)
 	backdateTouch(polled, time.Hour)

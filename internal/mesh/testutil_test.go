@@ -15,7 +15,12 @@ import (
 	"taskgrain/internal/chaos"
 	"taskgrain/internal/config"
 	"taskgrain/internal/taskserve"
+	"taskgrain/internal/wire"
 )
+
+// writeJSON is how the fakes answer; the gateway's own replies go through
+// the same wire helper.
+var writeJSON = wire.WriteJSON
 
 // fakeNode is a scriptable taskgraind stand-in: it serves the health and
 // counter surfaces the registry heartbeats and lets each test script the

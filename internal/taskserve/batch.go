@@ -1,8 +1,10 @@
-// Batched submission: POST /v1/jobs/batch admits up to max_batch_jobs specs
-// through ONE admission check and ONE vectored journal append, amortizing the
-// serving layer's per-request overhead the same way SpawnBatch amortizes the
-// runtime's per-spawn overhead (Eq. 3/4: a fixed cost paid once per batch
-// instead of once per job moves the effective minimum grain left).
+// Admission: every submission — POST /v1/jobs, POST /v1/jobs/batch, Submit,
+// SubmitBatch — goes through the one admit core below, a single job as a
+// batch of one. A batch pays ONE admission check, ONE vectored journal append
+// and ONE queue-mutex section, amortizing the serving layer's per-request
+// overhead the same way SpawnBatch amortizes the runtime's per-spawn overhead
+// (Eq. 3/4: a fixed cost paid once per batch instead of once per job moves
+// the effective minimum grain left).
 //
 // Admission is partial by design: the batch admits a prefix bounded by the
 // queue's remaining capacity and sheds the suffix with per-item 429 +
@@ -15,29 +17,60 @@ import (
 	"time"
 )
 
-// batchItem is one per-spec outcome of SubmitBatch: exactly one of job
-// (admitted, or replayed via idempotency key) or shed is set.
+// batchItem is one per-spec outcome of an admit: exactly one of job
+// (admitted, or replayed via idempotency key) or shed is set. fresh marks a
+// job this call enqueued, as opposed to a replay.
 type batchItem struct {
-	job  *Job
-	shed *shedError
+	job   *Job
+	shed  *shedError
+	fresh bool
 }
 
-// SubmitBatch validates, admits, and enqueues a batch of jobs under one
-// admission check and one journal group commit. Results are index-aligned
-// with specs. Semantics per item match Submit exactly — idempotent replays
-// return the retained job even while draining, admitted jobs are journaled
-// before the call returns, and a full queue sheds with 429 — but the
-// admission check, the journal fsync, and the queue-mutex acquisition are
-// each paid once for the whole batch.
+// SubmitBatch admits a batch of jobs through the admit core and accounts it
+// on the /server/batch/* counters, which therefore count batch-entry calls
+// only — a single Submit shares the core but not the counters. Results are
+// index-aligned with specs.
 func (s *Server) SubmitBatch(specs []JobSpec) []batchItem {
-	results := make([]batchItem, len(specs))
+	results := s.admit(specs)
+	enqueued, shed := 0, false
+	for _, r := range results {
+		if r.fresh {
+			enqueued++
+		}
+		shed = shed || r.shed != nil
+	}
+	if enqueued > 0 {
+		s.batchSubmitted.Inc()
+		s.batchJobs.Add(int64(enqueued))
+		// Every shed cause but the queue cut refuses the whole batch, so a
+		// shed next to an enqueue is a partial admission.
+		if shed {
+			s.batchSheds.Inc()
+		}
+	}
+	return results
+}
 
-	// Idempotency replays resolve first, without admission — a mesh gateway
-	// re-forwarding a batch after a timeout must get the jobs the node
-	// already holds, never a second run.
+// admit admits and enqueues already-validated specs under one admission
+// check and one journal group commit. Results are index-aligned with specs.
+//
+// A spec carrying an idempotency key replays rather than re-executes: if a
+// retained job was already admitted under the same key, that job is returned
+// without a second admission — even while draining, so a mesh gateway
+// resubmitting after a suspected node death never double-runs work the node
+// in fact still holds.
+func (s *Server) admit(specs []JobSpec) []batchItem {
+	results := make([]batchItem, len(specs))
+	shedAll := func(se *shedError, idxs []int) {
+		for _, i := range idxs {
+			results[i] = batchItem{shed: se}
+			s.shed.Inc()
+		}
+	}
+
 	fresh := make([]int, 0, len(specs))
 	for i := range specs {
-		specs[i] = specs[i].withDefaults()
+		specs[i] = withDefaults(specs[i])
 		if j, ok := s.store.getByKey(specs[i].IdempotencyKey); ok {
 			results[i] = batchItem{job: j}
 			continue
@@ -47,15 +80,8 @@ func (s *Server) SubmitBatch(specs []JobSpec) []batchItem {
 	if len(fresh) == 0 {
 		return results
 	}
-
-	shedAll := func(se *shedError, idxs []int) {
-		for _, i := range idxs {
-			results[i] = batchItem{shed: se}
-			s.shed.Inc()
-		}
-	}
 	if s.draining.Load() {
-		shedAll(&shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}, fresh)
+		shedAll(s.shedDraining(), fresh)
 		return results
 	}
 	// One admission check covers the batch: the queue-capacity prefix cut
@@ -80,7 +106,9 @@ func (s *Server) SubmitBatch(specs []JobSpec) []batchItem {
 		job, dup := s.store.add(specs[i], deadline)
 		results[i] = batchItem{job: job}
 		if dup {
-			continue // a concurrent duplicate key won the store race; replay
+			// A concurrent submission with the same idempotency key won the
+			// store race; hand its job back instead of enqueueing a second run.
+			continue
 		}
 		added = append(added, i)
 		jobs = append(jobs, job)
@@ -88,80 +116,71 @@ func (s *Server) SubmitBatch(specs []JobSpec) []batchItem {
 	if len(added) == 0 {
 		return results
 	}
+	// rescind takes back store entries (and journaled admits) that will not
+	// run, shedding their items.
+	rescind := func(se *shedError, from int, journaled bool) {
+		for k := from; k < len(added); k++ {
+			s.store.remove(jobs[k].ID())
+			if journaled && s.wal != nil {
+				s.journalDrop(jobs[k].ID())
+			}
+		}
+		shedAll(se, added[from:])
+	}
 
-	// One vectored append journals every admit record in the batch — one
-	// group-commit fsync for N jobs, the tentpole amortization. As on the
-	// single path, durability must be bound before any 202 goes out.
+	// One vectored append journals every admit record — one group-commit
+	// fsync for N jobs. The admit records must be durable-bound before any
+	// 202 goes out: an acknowledged job that the journal never saw would
+	// vanish in a crash, which is precisely the ledger violation the journal
+	// exists to prevent.
 	if s.wal != nil {
 		if err := s.journalAdmitBatch(jobs); err != nil {
-			for k, i := range added {
-				s.store.remove(jobs[k].ID())
-				results[i] = batchItem{shed: &shedError{
-					status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter,
-				}}
-				s.shed.Inc()
-			}
+			rescind(&shedError{status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter}, 0, false)
 			return results
 		}
 	}
 
-	// One queue-mutex acquisition enqueues the whole batch. The non-blocking
-	// sends keep the MaxQueuedJobs bound exact: the first full send marks the
-	// partial-admission cut — that item and the entire suffix shed, because a
-	// queue that just refused item k cannot have room for item k+1 either.
-	admitted := 0
+	// One queue-mutex acquisition enqueues the whole batch. The admission
+	// check and these sends race against concurrent submitters and Drain; the
+	// mutex-guarded non-blocking sends are the backstop that keeps the
+	// MaxQueuedJobs bound exact and never blocks a request handler. The first
+	// full send marks the partial-admission cut — that item and the entire
+	// suffix shed, because a queue that just refused item k cannot have room
+	// for item k+1 either.
 	s.queueMu.Lock()
 	if s.draining.Load() {
 		s.queueMu.Unlock()
-		for k, i := range added {
-			s.store.remove(jobs[k].ID())
-			if s.wal != nil {
-				s.journalDrop(jobs[k].ID())
-			}
-			results[i] = batchItem{shed: &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}}
-			s.shed.Inc()
-		}
+		rescind(s.shedDraining(), 0, true)
 		return results
 	}
-	cut := len(added)
+	cut := 0
 sends:
-	for k := range added {
+	for ; cut < len(jobs); cut++ {
 		select {
-		case s.queue <- jobs[k]:
-			admitted++
+		case s.queue <- jobs[cut]:
 		default:
-			cut = k
 			break sends
 		}
 	}
 	s.queueMu.Unlock()
 
-	for k := cut; k < len(added); k++ {
-		i := added[k]
-		s.store.remove(jobs[k].ID())
-		if s.wal != nil {
-			s.journalDrop(jobs[k].ID())
-		}
-		results[i] = batchItem{shed: &shedError{
+	if cut < len(jobs) {
+		rescind(&shedError{
 			status:     429,
 			reason:     fmt.Sprintf("job queue full (limit %d)", s.cfg.MaxQueuedJobs),
 			retryAfter: s.cfg.RetryAfter,
-		}}
-		s.shed.Inc()
+		}, cut, true)
 	}
 	for k := 0; k < cut; k++ {
+		results[added[k]].fresh = true
 		s.submitted.Inc()
 		if jobs[k].spec.TraceContext != "" {
 			s.traced.Inc()
 		}
 	}
-
-	if admitted > 0 {
-		s.batchSubmitted.Inc()
-		s.batchJobs.Add(int64(admitted))
-	}
-	if admitted > 0 && admitted < len(added) {
-		s.batchSheds.Inc()
-	}
 	return results
+}
+
+func (s *Server) shedDraining() *shedError {
+	return &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}
 }

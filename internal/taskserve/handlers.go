@@ -1,10 +1,7 @@
 package taskserve
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -12,21 +9,11 @@ import (
 	"taskgrain/internal/introspect"
 	"taskgrain/internal/telemetry"
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 )
 
-// maxBodyBytes bounds a job submission body; the spec is a handful of
-// scalars, so anything bigger is a client bug or abuse.
-const maxBodyBytes = 1 << 16
-
-// maxBatchBodyBytes bounds a batch submission body: max_batch_jobs specs of
-// a few hundred bytes each fit comfortably in 1 MiB.
-const maxBatchBodyBytes = 1 << 20
-
-// waitTimeoutDefault and waitTimeoutMax bound GET ?wait=true long-polls.
-const (
-	waitTimeoutDefault = 30 * time.Second
-	waitTimeoutMax     = 5 * time.Minute
-)
+// maxHintBytes bounds a control-hint body: a handful of kind→grain pairs.
+const maxHintBytes = 1 << 16
 
 // Handler returns the service's HTTP API:
 //
@@ -61,7 +48,7 @@ func (s *Server) Handler() http.Handler {
 		if s.draining.Load() {
 			status = "draining"
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": status})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": status})
 	})
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs/batch", s.handleSubmitBatch)
@@ -69,7 +56,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.StatsSnapshot())
+		wire.WriteJSON(w, http.StatusOK, s.StatsSnapshot())
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /telemetry/alerts", s.handleAlerts)
@@ -83,21 +70,14 @@ func (s *Server) Handler() http.Handler {
 // handleMetrics renders every registered counter as OpenMetrics text, the
 // node's own listen address as the node label.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b bytes.Buffer
-	pts := telemetry.PointsFromRegistry(s.rt.Counters(), map[string]string{"node": s.cfg.Addr})
-	if err := telemetry.WriteOpenMetrics(&b, pts); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_, _ = b.WriteTo(w)
+	telemetry.ServeOpenMetrics(w, telemetry.PointsFromRegistry(s.rt.Counters(), map[string]string{"node": s.cfg.Addr}))
 }
 
 // handleControlDecisions serves the control plane's decision log: the mode
 // the engine runs under and every recorded actuation/advisory/veto, oldest
 // first.
 func (s *Server) handleControlDecisions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"mode":      string(s.eng.Mode()),
 		"decisions": s.eng.Decisions(),
 	})
@@ -111,13 +91,13 @@ func (s *Server) handleControlHint(w http.ResponseWriter, r *http.Request) {
 		Grains map[string]int `json:"grains"`
 		Source string         `json:"source"`
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxHintBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad hint body: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, "bad hint body: "+err.Error())
 		return
 	}
 	if len(req.Grains) == 0 {
-		writeError(w, http.StatusBadRequest, "hint carries no grains")
+		wire.WriteError(w, http.StatusBadRequest, "hint carries no grains")
 		return
 	}
 	source := req.Source
@@ -133,7 +113,7 @@ func (s *Server) handleControlHint(w http.ResponseWriter, r *http.Request) {
 			vetoed[kind] = reason
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"mode":    string(s.eng.Mode()),
 		"applied": applied,
 		"vetoed":  vetoed,
@@ -141,7 +121,7 @@ func (s *Server) handleControlHint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"alerts": []telemetry.Alert{s.watchdog.Current()},
 	})
 }
@@ -150,14 +130,14 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "missing ?name= counter path (e.g. /server/idle-rate)")
+		wire.WriteError(w, http.StatusBadRequest, "missing ?name= counter path (e.g. /server/idle-rate)")
 		return
 	}
 	n := 60
 	if v := q.Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, "bad n "+strconv.Quote(v))
+			wire.WriteError(w, http.StatusBadRequest, "bad n "+strconv.Quote(v))
 			return
 		}
 		n = parsed
@@ -171,7 +151,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("window"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "bad window "+strconv.Quote(v)+" (want a Go duration, e.g. 2s)")
+			wire.WriteError(w, http.StatusBadRequest, "bad window "+strconv.Quote(v)+" (want a Go duration, e.g. 2s)")
 			return
 		}
 		if delta, elapsed, ok := ring.Delta(name, d); ok {
@@ -182,15 +162,15 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			out["window_rate_per_sec"] = rate
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
+// handleSubmit serves POST /v1/jobs: a batch of one through admitItems,
+// answered as the single response its one item renders to.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, err := wire.DecodeSpec(w, r)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The Taskgrain-Trace header is the canonical carrier of the cross-hop
@@ -200,113 +180,63 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sc, ok := trace.ParseSpanContext(r.Header.Get(trace.Header)); ok {
 		spec.TraceContext = sc.String()
 	}
-	spec = spec.withDefaults()
-	if err := spec.Validate(s.cfg.MaxJobSize); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	job, shed := s.Submit(spec)
-	if shed != nil {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(shed.retryAfter)))
-		writeError(w, shed.status, shed.reason)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.View())
+	wire.WriteItem(w, s.admitItems([]JobSpec{spec}, s.admit)[0])
 }
 
-// batchItemView is one per-item result of POST /v1/jobs/batch, index-aligned
-// with the request's jobs array.
-type batchItemView struct {
-	Status     int      `json:"status"`
-	Job        *JobView `json:"job,omitempty"`
-	Error      string   `json:"error,omitempty"`
-	RetryAfter int      `json:"retry_after_s,omitempty"`
-}
-
-// handleSubmitBatch serves POST /v1/jobs/batch: decode {"jobs":[spec,...]},
-// admit the batch through one SubmitBatch call, and render per-item results.
-// A spec that fails validation gets a per-item 400 without failing the rest
-// of the batch. The overall status is 202 when at least one item was
-// admitted; otherwise the first shed's status with its Retry-After relayed,
-// so a batch-oblivious client's backoff logic still works.
+// handleSubmitBatch serves POST /v1/jobs/batch: admit the batch through one
+// SubmitBatch call and render per-item results.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Jobs []JobSpec `json:"jobs"`
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
+	specs, err := wire.DecodeBatch(w, r, s.cfg.MaxBatchJobs)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch (want {\"jobs\":[spec,...]})")
-		return
-	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds max_batch_jobs %d", len(req.Jobs), s.cfg.MaxBatchJobs))
-		return
-	}
-
 	// The trace header covers items that carry no body trace_context of
 	// their own — a gateway forwarding a batch embeds per-item contexts in
 	// the specs, while a plain client's single header traces the whole batch.
-	headerSC, headerOK := trace.ParseSpanContext(r.Header.Get(trace.Header))
-
-	items := make([]batchItemView, len(req.Jobs))
-	valid := make([]int, 0, len(req.Jobs))
-	specs := make([]JobSpec, 0, len(req.Jobs))
-	for i := range req.Jobs {
-		spec := req.Jobs[i]
-		if headerOK && spec.TraceContext == "" {
-			spec.TraceContext = headerSC.String()
+	if sc, ok := trace.ParseSpanContext(r.Header.Get(trace.Header)); ok {
+		for i := range specs {
+			if specs[i].TraceContext == "" {
+				specs[i].TraceContext = sc.String()
+			}
 		}
-		spec = spec.withDefaults()
-		if err := spec.Validate(s.cfg.MaxJobSize); err != nil {
-			items[i] = batchItemView{Status: http.StatusBadRequest, Error: err.Error()}
+	}
+	wire.WriteBatch(w, s.admitItems(specs, s.SubmitBatch))
+}
+
+// admitItems validates the specs, admits the valid ones through submit (the
+// admit core, or SubmitBatch which also counts /server/batch/*), and renders
+// index-aligned wire items. A spec that fails validation gets a per-item 400
+// without failing the rest of the batch.
+func (s *Server) admitItems(specs []JobSpec, submit func([]JobSpec) []batchItem) []wire.BatchItem {
+	items := make([]wire.BatchItem, len(specs))
+	valid := make([]int, 0, len(specs))          // positions of the specs that passed
+	validSpecs := make([]JobSpec, 0, len(specs)) // those specs, in order
+	for i := range specs {
+		spec := withDefaults(specs[i])
+		if err := validateSpec(&spec, s.cfg.MaxJobSize); err != nil {
+			items[i] = wire.BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		valid = append(valid, i)
-		specs = append(specs, spec)
+		validSpecs = append(validSpecs, spec)
 	}
-
-	admitted, shedCount := 0, 0
-	if len(specs) > 0 {
-		for k, res := range s.SubmitBatch(specs) {
-			i := valid[k]
-			switch {
-			case res.job != nil:
-				view := res.job.View()
-				items[i] = batchItemView{Status: http.StatusAccepted, Job: &view}
-				admitted++
-			default:
-				items[i] = batchItemView{
-					Status:     res.shed.status,
-					Error:      res.shed.reason,
-					RetryAfter: retryAfterSeconds(res.shed.retryAfter),
-				}
-				shedCount++
-			}
+	if len(validSpecs) == 0 {
+		return items
+	}
+	for k, res := range submit(validSpecs) {
+		if res.job != nil {
+			view := res.job.View()
+			items[valid[k]] = wire.BatchItem{Status: http.StatusAccepted, Job: &view}
+			continue
+		}
+		items[valid[k]] = wire.BatchItem{
+			Status:     res.shed.status,
+			Error:      res.shed.reason,
+			RetryAfter: wire.RetryAfterSeconds(res.shed.retryAfter),
 		}
 	}
-
-	status := http.StatusAccepted
-	if admitted == 0 {
-		status = http.StatusBadRequest
-		for _, it := range items {
-			if it.Status == http.StatusTooManyRequests || it.Status == http.StatusServiceUnavailable {
-				status = it.Status
-				w.Header().Set("Retry-After", strconv.Itoa(it.RetryAfter))
-				break
-			}
-		}
-	}
-	writeJSON(w, status, map[string]any{
-		"admitted": admitted,
-		"shed":     shedCount,
-		"results":  items,
-	})
+	return items
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -315,21 +245,21 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		views = append(views, j.View())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
+		wire.WriteError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	if wantWait(r) {
-		timeout, err := waitTimeout(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	timeout, err := wire.WaitTimeout(r)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		select {
@@ -341,62 +271,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, job.View())
+	wire.WriteJSON(w, http.StatusOK, job.View())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
+		wire.WriteError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.View())
-}
-
-// wantWait reports whether ?wait=true (or =1) was requested.
-func wantWait(r *http.Request) bool {
-	switch r.URL.Query().Get("wait") {
-	case "true", "1":
-		return true
-	}
-	return false
-}
-
-// waitTimeout parses ?timeout= (Go duration syntax), applying the default
-// and ceiling.
-func waitTimeout(r *http.Request) (time.Duration, error) {
-	v := r.URL.Query().Get("timeout")
-	if v == "" {
-		return waitTimeoutDefault, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, errors.New("bad timeout " + strconv.Quote(v) + " (want a Go duration, e.g. 30s)")
-	}
-	if d <= 0 || d > waitTimeoutMax {
-		return 0, fmt.Errorf("timeout %v out of (0,%v]", d, waitTimeoutMax)
-	}
-	return d, nil
-}
-
-// retryAfterSeconds renders a duration as the integral seconds Retry-After
-// requires, rounding sub-second hints up so clients actually back off.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // network write errors are the client's problem
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]any{"error": msg, "status": status})
+	wire.WriteJSON(w, http.StatusOK, job.View())
 }

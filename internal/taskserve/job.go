@@ -7,53 +7,26 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"taskgrain/internal/wire"
 )
 
-// JobState is a job's lifecycle state. Unlike task states (which the runtime
-// owns), job states are service-level: queued (admitted, waiting for a
-// runner slot), running (its task group is on the runtime), then exactly one
-// of done, failed, or cancelled.
-type JobState string
+// The job vocabulary is the wire schema's; the aliases keep it under this
+// package's names for the code that runs the jobs.
+type (
+	JobState  = wire.JobState
+	JobResult = wire.JobResult
+	JobView   = wire.JobView
+)
 
 // Job lifecycle states.
 const (
-	JobQueued    JobState = "queued"
-	JobRunning   JobState = "running"
-	JobDone      JobState = "done"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
+	JobQueued    = wire.JobQueued
+	JobRunning   = wire.JobRunning
+	JobDone      = wire.JobDone
+	JobFailed    = wire.JobFailed
+	JobCancelled = wire.JobCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
-
-// JobResult summarizes a completed job's execution.
-type JobResult struct {
-	// Tasks is the number of runtime tasks the job spawned.
-	Tasks int64 `json:"tasks"`
-	// Checksum is a workload-defined digest of the computed values, so
-	// clients can assert two runs computed the same thing.
-	Checksum float64 `json:"checksum"`
-	// IdleRate is Eq. 1 over the job's execution interval. Approximate when
-	// jobs overlap on the shared runtime.
-	IdleRate float64 `json:"idle_rate"`
-	// Pattern echoes the dependence pattern a taskbench job ran.
-	Pattern string `json:"pattern,omitempty"`
-	// Efficiency is the taskbench run's parallel efficiency (1 − idle-rate
-	// over its own counter interval).
-	Efficiency float64 `json:"efficiency,omitempty"`
-	// MetgNs is the METG(50%) figure of a taskbench job submitted with
-	// metg=true: the smallest task duration (ns) that still met 50%
-	// parallel efficiency on this pattern. MetgFound reports whether any
-	// probed granularity met the target.
-	MetgNs    float64 `json:"metg_ns,omitempty"`
-	MetgFound bool    `json:"metg_found,omitempty"`
-	// generations is the number of dependency waves the workload ran
-	// (internal: feeds the adaptive tuner's parallel-slack signal).
-	generations int
-}
 
 // Job is one admitted submission.
 type Job struct {
@@ -218,29 +191,6 @@ func (j *Job) setDecision(d string) {
 	j.mu.Unlock()
 }
 
-// JobView is the JSON representation of a job served by the API.
-type JobView struct {
-	ID          string     `json:"id"`
-	Kind        string     `json:"kind"`
-	Size        int        `json:"size"`
-	Steps       int        `json:"steps,omitempty"`
-	Pattern     string     `json:"pattern,omitempty"`
-	State       JobState   `json:"state"`
-	Grain       int        `json:"grain,omitempty"`
-	GrainSource string     `json:"grain_source,omitempty"`
-	Decision    string     `json:"adaptive_decision,omitempty"`
-	SubmittedAt time.Time  `json:"submitted_at"`
-	StartedAt   *time.Time `json:"started_at,omitempty"`
-	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-	ElapsedMS   float64    `json:"elapsed_ms,omitempty"`
-	DeadlineAt  *time.Time `json:"deadline_at,omitempty"`
-	Error       string     `json:"error,omitempty"`
-	Result      *JobResult `json:"result,omitempty"`
-	// TraceContext echoes the propagated cross-hop trace identity, so a
-	// client (or the mesh gateway) can stitch this job into its trace.
-	TraceContext string `json:"trace_context,omitempty"`
-}
-
 // View snapshots the job for serialization.
 func (j *Job) View() JobView {
 	j.mu.Lock()
@@ -287,12 +237,11 @@ const retainFinished = 1024
 // jobStore indexes jobs by ID (and idempotency key) and evicts old finished
 // jobs.
 type jobStore struct {
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	keys     map[string]string // idempotency key → job ID
-	order    []string          // insertion order, for listing and eviction
-	nextID   uint64
-	finished int
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	keys   map[string]string // idempotency key → job ID
+	order  []string          // insertion order, for listing and eviction
+	nextID uint64
 }
 
 func newJobStore() *jobStore {

@@ -54,16 +54,6 @@ type walSnapshot struct {
 	Jobs   []walSnapJob `json:"jobs"`
 }
 
-// recoveredJob is the replay accumulator for one journaled job.
-type recoveredJob struct {
-	id       string
-	spec     JobSpec
-	deadline int64
-	grain    int
-	state    JobState
-	errMsg   string
-}
-
 // setupJournal recovers the journal directory into the job store, re-queues
 // or fails non-terminal survivors per the recovery policy, opens the journal
 // for appending, and registers the /journal/* counters. Called from New
@@ -74,7 +64,8 @@ func (s *Server) setupJournal() error {
 		return fmt.Errorf("taskserve: journal recovery: %w", err)
 	}
 
-	byID := make(map[string]*recoveredJob)
+	// The replay accumulator per job is its snapshot form.
+	byID := make(map[string]*walSnapJob)
 	var order []string
 	var snapNextID uint64
 	if rec.Snapshot != nil {
@@ -83,12 +74,9 @@ func (s *Server) setupJournal() error {
 			return fmt.Errorf("taskserve: journal snapshot: %w", err)
 		}
 		snapNextID = snap.NextID
-		for _, sj := range snap.Jobs {
-			byID[sj.ID] = &recoveredJob{
-				id: sj.ID, spec: sj.Spec, deadline: sj.Deadline,
-				grain: sj.Grain, state: sj.State, errMsg: sj.Err,
-			}
-			order = append(order, sj.ID)
+		for i := range snap.Jobs {
+			byID[snap.Jobs[i].ID] = &snap.Jobs[i]
+			order = append(order, snap.Jobs[i].ID)
 		}
 	}
 	for _, r := range rec.Records {
@@ -99,22 +87,20 @@ func (s *Server) setupJournal() error {
 		switch w.T {
 		case walAdmit:
 			if _, ok := byID[w.ID]; !ok && w.Spec != nil {
-				byID[w.ID] = &recoveredJob{
-					id: w.ID, spec: *w.Spec, deadline: w.Deadline, state: JobQueued,
-				}
+				byID[w.ID] = &walSnapJob{ID: w.ID, Spec: *w.Spec, Deadline: w.Deadline, State: JobQueued}
 				order = append(order, w.ID)
 			}
 		case walStart:
 			if rj, ok := byID[w.ID]; ok {
-				rj.grain = w.Grain
-				if !rj.state.Terminal() {
-					rj.state = JobRunning
+				rj.Grain = w.Grain
+				if !rj.State.Terminal() {
+					rj.State = JobRunning
 				}
 			}
 		case walTerm:
-			if rj, ok := byID[w.ID]; ok && !rj.state.Terminal() {
-				rj.state = w.State
-				rj.errMsg = w.Err
+			if rj, ok := byID[w.ID]; ok && !rj.State.Terminal() {
+				rj.State = w.State
+				rj.Err = w.Err
 			}
 		case walDrop:
 			delete(byID, w.ID)
@@ -128,11 +114,11 @@ func (s *Server) setupJournal() error {
 			continue
 		}
 		var deadline time.Time
-		if rj.deadline != 0 {
-			deadline = time.Unix(0, rj.deadline)
+		if rj.Deadline != 0 {
+			deadline = time.Unix(0, rj.Deadline)
 		}
-		state := rj.state
-		errMsg := rj.errMsg
+		state := rj.State
+		errMsg := rj.Err
 		if !state.Terminal() {
 			if s.cfg.RecoveryRequeues() {
 				state = JobQueued
@@ -140,7 +126,7 @@ func (s *Server) setupJournal() error {
 				state, errMsg = JobFailed, "lost-on-crash"
 			}
 		}
-		job := newRecoveredJob(rj.id, rj.spec, deadline, state, errMsg, rj.grain)
+		job := newRecoveredJob(rj.ID, rj.Spec, deadline, state, errMsg, rj.Grain)
 		if state == JobQueued {
 			select {
 			case s.queue <- job:
@@ -152,7 +138,7 @@ func (s *Server) setupJournal() error {
 				job.terminalLogged.Store(true)
 				lost++
 			}
-		} else if !rj.state.Terminal() {
+		} else if !rj.State.Terminal() {
 			lost++
 		}
 		s.store.restore(job)
@@ -183,7 +169,7 @@ func (s *Server) setupJournal() error {
 	// requeued jobs stay non-terminal on purpose (they will run again).
 	for _, id := range order {
 		if j, ok := s.store.get(id); ok && j.State().Terminal() {
-			if rj := byID[id]; rj != nil && !rj.state.Terminal() {
+			if rj := byID[id]; rj != nil && !rj.State.Terminal() {
 				s.journalTerm(j)
 			}
 		}
@@ -232,21 +218,11 @@ func (s *Server) journalAppend(rec walRecord) error {
 	return err
 }
 
-// journalAdmit persists a job before its 202 is issued.
-func (s *Server) journalAdmit(job *Job) error {
-	spec, deadline, _, _, _ := job.journalState()
-	var dl int64
-	if !deadline.IsZero() {
-		dl = deadline.UnixNano()
-	}
-	return s.journalAppend(walRecord{T: walAdmit, ID: job.ID(), Spec: &spec, Deadline: dl})
-}
-
-// journalAdmitBatch persists a batch of admissions as one vectored append:
-// every record shares a single frame write and — under the always policy — a
-// single fsync, so the durability cost of N admitted jobs is one group
-// commit. Like journalAdmit it must succeed before any of the batch's 202s
-// go out.
+// journalAdmitBatch persists a batch of admissions (a single submit is a
+// batch of one) as one vectored append: every record shares a single frame
+// write and — under the always policy — a single fsync, so the durability
+// cost of N admitted jobs is one group commit. It must succeed before any of
+// the batch's 202s go out.
 func (s *Server) journalAdmitBatch(jobs []*Job) error {
 	payloads := make([][]byte, 0, len(jobs))
 	for _, job := range jobs {

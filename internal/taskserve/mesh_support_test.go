@@ -178,7 +178,7 @@ func TestValidateIdempotencyKeyBound(t *testing.T) {
 		long[i] = 'k'
 	}
 	spec := JobSpec{Kind: KindFibonacci, Size: 10, IdempotencyKey: string(long)}
-	if err := spec.Validate(1 << 20); err == nil {
+	if err := validateSpec(&spec, 1<<20); err == nil {
 		t.Fatal("oversized idempotency key accepted")
 	}
 }

@@ -64,8 +64,9 @@ type Server struct {
 	shed       *counters.Cumulative
 	traced     *counters.Cumulative
 
-	// Batch-path counters: batches that admitted work, jobs admitted through
-	// the batch path, and batches that were partially shed at the queue cut.
+	// Batch-endpoint counters: batches that admitted work, jobs admitted
+	// through SubmitBatch, and batches that were partially shed at the queue
+	// cut.
 	batchSubmitted *counters.Cumulative
 	batchJobs      *counters.Cumulative
 	batchSheds     *counters.Cumulative
@@ -314,88 +315,12 @@ func (s *Server) Start() {
 	}
 }
 
-// Submit validates, admits, and enqueues one job. It returns the stored job,
-// or a shedError describing why the submission was refused.
-//
-// A spec carrying an idempotency key replays rather than re-executes: if a
-// retained job was already admitted under the same key, that job is returned
-// without a second admission — even while draining, so a mesh gateway
-// resubmitting after a suspected node death never double-runs work the node
-// in fact still holds.
+// Submit admits one job: a batch of one through the admit core. It returns
+// the stored job (fresh, or replayed by idempotency key), or a shedError
+// describing why the submission was refused.
 func (s *Server) Submit(spec JobSpec) (*Job, *shedError) {
-	spec = spec.withDefaults()
-	if j, ok := s.store.getByKey(spec.IdempotencyKey); ok {
-		return j, nil
-	}
-	if s.draining.Load() {
-		s.shed.Inc()
-		return nil, &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}
-	}
-	if se := s.adm.check(); se != nil {
-		s.shed.Inc()
-		return nil, se
-	}
-
-	var deadline time.Time
-	d := time.Duration(spec.DeadlineMillis) * time.Millisecond
-	if d == 0 {
-		d = s.cfg.DefaultDeadline
-	}
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	job, dup := s.store.add(spec, deadline)
-	if dup {
-		// A concurrent submission with the same idempotency key won the
-		// store race; hand its job back instead of enqueueing a second run.
-		return job, nil
-	}
-
-	// The admit record must be durable-bound before the 202 goes out: an
-	// acknowledged job that the journal never saw would vanish in a crash,
-	// which is precisely the ledger violation the journal exists to prevent.
-	if s.wal != nil {
-		if err := s.journalAdmit(job); err != nil {
-			s.store.remove(job.ID())
-			s.shed.Inc()
-			return nil, &shedError{status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter}
-		}
-	}
-
-	// The admission check and this send race against concurrent submitters
-	// and Drain; the mutex-guarded non-blocking send is the backstop that
-	// keeps the queue bound exact and never blocks a request handler.
-	s.queueMu.Lock()
-	if s.draining.Load() {
-		s.queueMu.Unlock()
-		s.store.remove(job.ID())
-		if s.wal != nil {
-			s.journalDrop(job.ID())
-		}
-		s.shed.Inc()
-		return nil, &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}
-	}
-	select {
-	case s.queue <- job:
-		s.queueMu.Unlock()
-	default:
-		s.queueMu.Unlock()
-		s.store.remove(job.ID())
-		if s.wal != nil {
-			s.journalDrop(job.ID())
-		}
-		s.shed.Inc()
-		return nil, &shedError{
-			status:     429,
-			reason:     fmt.Sprintf("job queue full (limit %d)", s.cfg.MaxQueuedJobs),
-			retryAfter: s.cfg.RetryAfter,
-		}
-	}
-	s.submitted.Inc()
-	if spec.TraceContext != "" {
-		s.traced.Inc()
-	}
-	return job, nil
+	res := s.admit([]JobSpec{spec})[0]
+	return res.job, res.shed
 }
 
 // Job looks up a job by ID.
@@ -467,6 +392,7 @@ func (s *Server) runJob(job *Job) {
 		timer.Stop()
 	}
 
+	var result *JobResult
 	if res != nil {
 		obs := adaptive.ObservationFromSnapshots(prev, cur, grain, s.workers, res.generations)
 		res.IdleRate = obs.IdleRate
@@ -477,9 +403,10 @@ func (s *Server) runJob(job *Job) {
 			_, dec := s.eng.ObserveGrain(spec.Kind, obs)
 			job.setDecision(dec.String())
 		}
+		result = &res.JobResult
 	}
 
-	job.finish(res, err)
+	job.finish(result, err)
 	s.accountTerminal(job)
 }
 

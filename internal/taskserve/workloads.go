@@ -17,6 +17,7 @@ import (
 	"taskgrain/internal/taskbench"
 	"taskgrain/internal/taskrt"
 	"taskgrain/internal/trace"
+	"taskgrain/internal/wire"
 	"taskgrain/internal/workloads"
 )
 
@@ -32,50 +33,9 @@ const (
 // controller per entry.
 var jobKinds = []string{KindStencil, KindFibonacci, KindIrregular, KindTaskbench}
 
-// JobSpec is the request vocabulary of POST /v1/jobs: a parameterized task
-// workload in the Task Bench style — kind, problem size, and the grain knob.
-type JobSpec struct {
-	// Kind selects the workload: stencil1d, fibonacci, irregular, or
-	// taskbench.
-	Kind string `json:"kind"`
-	// Size is the problem size: grid points (stencil1d), the Fibonacci index
-	// (fibonacci), total work points (irregular), or the task-grid width
-	// (taskbench).
-	Size int `json:"size"`
-	// Steps is the time-step / dependency-generation count (default 4;
-	// stencil1d and taskbench).
-	Steps int `json:"steps,omitempty"`
-	// Grain is the task grain: points per partition (stencil1d), the
-	// sequential cutoff index (fibonacci), points per task (irregular), or
-	// kernel work units per task (taskbench). Zero asks the server to
-	// choose adaptively from live counters.
-	Grain int `json:"grain,omitempty"`
-	// Seed makes irregular DAG / taskbench random-pattern structure
-	// reproducible.
-	Seed int64 `json:"seed,omitempty"`
-	// Pattern selects the taskbench dependence pattern: trivial, chain,
-	// stencil1d, fft, random, or tree (default stencil1d; taskbench only).
-	Pattern string `json:"pattern,omitempty"`
-	// Kernel selects the taskbench per-task kernel: busywork or memwalk
-	// (default busywork; taskbench only).
-	Kernel string `json:"kernel,omitempty"`
-	// Metg, for taskbench jobs, additionally runs a bounded METG(50%)
-	// search on the job's pattern and reports the figure in the result.
-	Metg bool `json:"metg,omitempty"`
-	// DeadlineMillis bounds the job's total service time (queue + run);
-	// zero uses the server default.
-	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
-	// IdempotencyKey, when set, makes the submission replayable: a second
-	// submit with the same key returns the already-admitted job instead of
-	// running the work twice. Mesh gateways set it so failover resubmission
-	// after a suspected node death stays exactly-once per node.
-	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// TraceContext is the cross-hop trace identity ("%016x-%016x"
-	// trace-span hex) a mesh gateway propagates; it normally arrives in the
-	// Taskgrain-Trace header (which overrides the body) and is echoed in
-	// job views so every hop of one job shares a trace ID.
-	TraceContext string `json:"trace_context,omitempty"`
-}
+// JobSpec is the wire schema's request vocabulary; what its values may be on
+// this node is validateSpec's business.
+type JobSpec = wire.JobSpec
 
 // maxIdempotencyKey bounds the key length; keys are routing metadata, not
 // payload.
@@ -105,7 +65,7 @@ const (
 )
 
 // withDefaults fills unset optional fields.
-func (s JobSpec) withDefaults() JobSpec {
+func withDefaults(s JobSpec) JobSpec {
 	if (s.Kind == KindStencil || s.Kind == KindTaskbench) && s.Steps == 0 {
 		s.Steps = 4
 	}
@@ -115,9 +75,9 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// Validate reports the first problem with the spec, or nil. maxSize is the
-// server's configured job-size ceiling.
-func (s *JobSpec) Validate(maxSize int) error {
+// validateSpec reports the first problem with the spec, or nil. maxSize is
+// the server's configured job-size ceiling.
+func validateSpec(s *JobSpec, maxSize int) error {
 	switch s.Kind {
 	case KindStencil, KindFibonacci, KindIrregular, KindTaskbench:
 	default:
@@ -222,10 +182,18 @@ func clampGrain(kind string, g, size int) int {
 	return g
 }
 
+// runResult is a workload's result plus the number of dependency waves it
+// ran, which feeds the adaptive tuner's parallel-slack signal and is not
+// part of the served result.
+type runResult struct {
+	JobResult
+	generations int
+}
+
 // runWorkload dispatches a job to its kind's runner. abort is polled by
 // every task body; a true return makes the task cheap (skip the kernel, keep
 // the dependency structure) so the group drains at queue speed.
-func runWorkload(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*JobResult, error) {
+func runWorkload(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	switch spec.Kind {
 	case KindStencil:
 		return runStencilJob(rt, spec, grain, abort)
@@ -253,7 +221,7 @@ const (
 // units per task. With spec.Metg set it follows up with a bounded
 // METG(50%) search on the same pattern so the job document carries the
 // minimum effective task granularity next to the grain that served it.
-func runTaskbenchJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*JobResult, error) {
+func runTaskbenchJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	pattern, err := taskbench.ParsePattern(spec.Pattern)
 	if err != nil {
 		return nil, err
@@ -272,11 +240,13 @@ func runTaskbenchJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() b
 	if err != nil {
 		return nil, err
 	}
-	out := &JobResult{
-		Tasks:       res.Tasks,
-		Checksum:    float64(res.Checksum % (1 << 52)), // keep exact in float64
-		Pattern:     pattern.String(),
-		Efficiency:  res.Efficiency,
+	out := &runResult{
+		JobResult: JobResult{
+			Tasks:      res.Tasks,
+			Checksum:   float64(res.Checksum % (1 << 52)), // keep exact in float64
+			Pattern:    pattern.String(),
+			Efficiency: res.Efficiency,
+		},
 		generations: spec.Steps,
 	}
 	if spec.Metg && !abort() {
@@ -300,7 +270,7 @@ func runTaskbenchJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() b
 // ring for Steps steps, one task per partition per step with a group barrier
 // between steps — the serving-path edition of the paper's HPX-Stencil
 // benchmark, with grain = points per partition.
-func runStencilJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*JobResult, error) {
+func runStencilJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	n := spec.Size
 	parts := (n + grain - 1) / grain
 	const alpha = 0.25
@@ -367,7 +337,7 @@ func runStencilJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() boo
 			sum += v
 		}
 	}
-	return &JobResult{Tasks: tasks.Load(), Checksum: sum, generations: steps + 1}, nil
+	return &runResult{JobResult{Tasks: tasks.Load(), Checksum: sum}, steps + 1}, nil
 }
 
 // heatKernel applies the three-point diffusion update to one partition given
@@ -393,7 +363,7 @@ func heatKernel(left, mid, right, out []float64, alpha float64) {
 // runFibJob computes fib(Size) as a recursive future tree with a sequential
 // cutoff at index grain — the canonical fine-grained fork/join workload,
 // with grain = how much of the tree one task absorbs.
-func runFibJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*JobResult, error) {
+func runFibJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	var tasks atomic.Int64
 	var build func(n int) *future.Future[uint64]
 	build = func(n int) *future.Future[uint64] {
@@ -421,7 +391,7 @@ func runFibJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (
 	if gens < 1 {
 		gens = 1
 	}
-	return &JobResult{Tasks: tasks.Load(), Checksum: float64(v), generations: gens}, nil
+	return &runResult{JobResult{Tasks: tasks.Load(), Checksum: float64(v)}, gens}, nil
 }
 
 // fibSeq is the sequential kernel below the cutoff.
@@ -437,7 +407,7 @@ func fibSeq(n int) uint64 {
 // out as inherently fine-grained. The DAG generator is shared with the
 // simulator; its completion hooks mutate generator state, so a mutex
 // serializes them (task kernels themselves run fully parallel).
-func runIrregularJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*JobResult, error) {
+func runIrregularJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	nTasks := spec.Size / grain
 	if nTasks < 1 {
 		nTasks = 1
@@ -476,11 +446,10 @@ func runIrregularJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() b
 	mu.Unlock()
 	g.Wait()
 
-	return &JobResult{
-		Tasks:       tasks.Load(),
-		Checksum:    float64(checksum.Load() % (1 << 52)), // keep exact in float64
-		generations: 1,
-	}, nil
+	return &runResult{JobResult{
+		Tasks:    tasks.Load(),
+		Checksum: float64(checksum.Load() % (1 << 52)), // keep exact in float64
+	}, 1}, nil
 }
 
 // burn is the irregular kernel: points iterations of xorshift, returning a

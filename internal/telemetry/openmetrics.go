@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,6 +167,19 @@ func WriteOpenMetrics(w io.Writer, points []MetricPoint) error {
 	}
 	fmt.Fprint(bw, "# EOF\n")
 	return bw.Flush()
+}
+
+// ServeOpenMetrics answers a scrape with points as an OpenMetrics exposition,
+// buffering so an encoding error can still become a clean 500 instead of a
+// torn response. Every /metrics endpoint in the repository goes through it.
+func ServeOpenMetrics(w http.ResponseWriter, points []MetricPoint) {
+	var buf bytes.Buffer
+	if err := WriteOpenMetrics(&buf, points); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ContentType)
+	_, _ = buf.WriteTo(w)
 }
 
 // labelString renders a label set as {k="v",...}, keys sorted, values
