@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -103,14 +104,19 @@ func (m *Mesh) setupJournal() error {
 	}
 
 	now := time.Now()
+	jobs := make([]*meshJob, 0, len(order))
 	for _, id := range order {
 		rj := byID[id]
+		if rj.Terminal {
+			rj.Spec = nil // a terminal job is never replayed
+		}
 		num, _ := strconv.ParseUint(strings.TrimPrefix(rj.ID, "m-"), 10, 64)
 		j := &meshJob{
 			id:        rj.ID,
 			key:       rj.Key,
 			kind:      rj.Kind,
 			num:       num,
+			recovered: rj.Terminal,
 			spec:      rj.Spec,
 			nodeJobID: rj.NodeJobID,
 			epoch:     rj.Epoch,
@@ -133,6 +139,12 @@ func (m *Mesh) setupJournal() error {
 			// though the full node response died with the old process.
 			j.lastView = &wire.JobView{ID: rj.NodeJobID, State: rj.State}
 		}
+		jobs = append(jobs, j)
+	}
+	// Restored in ID order: the journal keeps no observation order, so the
+	// oldest-submitted terminal jobs are the first the retention bound drops.
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].num < jobs[b].num })
+	for _, j := range jobs {
 		m.jobs.restore(j)
 	}
 	if snapNextID > 0 {
@@ -187,7 +199,9 @@ func (m *Mesh) registerJournalCounters() {
 func (m *Mesh) journalAppend(rec meshWalRecord) {
 	b, err := json.Marshal(rec)
 	if err == nil {
+		m.walMu.RLock()
 		_, err = m.wal.Append(b)
+		m.walMu.RUnlock()
 	}
 	if err != nil && err != journal.ErrKilled {
 		log.Printf("mesh: journal %s %s: %v", rec.T, rec.ID, err)
@@ -217,8 +231,11 @@ func (m *Mesh) journalTerm(job *meshJob) {
 }
 
 // journalCompact writes a full-store snapshot so the journal forgets what
-// the store forgot (stale-reaped and count-evicted jobs).
+// the store forgot (stale-reaped and count-evicted jobs). Terminal jobs carry
+// no spec: it was released when they turned terminal.
 func (m *Mesh) journalCompact() {
+	m.walMu.Lock()
+	defer m.walMu.Unlock()
 	jobs := m.jobs.list()
 	m.jobs.mu.Lock()
 	nextID := m.jobs.nextID

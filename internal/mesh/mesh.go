@@ -40,10 +40,11 @@ import (
 	"taskgrain/internal/trace"
 )
 
-// traceEventLimit caps the gateway's hop tracer; routing events are a few
-// per job, so this covers tens of thousands of jobs before truncation (which
-// the trace output reports rather than hides).
-const traceEventLimit = 100_000
+// traceEventLimit sizes the gateway's hop tracer ring (512 KB of events).
+// Routing events are a few per job, so /mesh/trace shows the most recent few
+// thousand jobs' hops however long the gateway has run; the trace output
+// reports how many older events the ring has overwritten.
+const traceEventLimit = 16_384
 
 // lockedRand is the gateway's own mutex-guarded PRNG, used for backoff
 // jitter and instance-tag minting. A mesh-local source keeps the jitter
@@ -100,7 +101,12 @@ type Mesh struct {
 	// wal journals placement epochs and terminal observations when
 	// cfg.JournalDir is set, so a restarted gateway still knows where every
 	// in-flight job lives instead of orphaning its failover state.
-	wal        *journal.Journal
+	wal *journal.Journal
+	// walMu makes a compaction snapshot cover exactly the records it has
+	// seen: appends share it, journalCompact excludes them from reading the
+	// store until the snapshot is on disk. (An append follows the state
+	// change it records, so one that beat the compaction is in the snapshot.)
+	walMu      sync.RWMutex
 	recoveredC *counters.Cumulative
 	tornC      *counters.Cumulative
 	walFinal   sync.Once
@@ -131,7 +137,11 @@ type Mesh struct {
 
 // New builds a gateway from the configuration. Start launches the
 // heartbeats.
-func New(cfg config.Mesh) (*Mesh, error) {
+func New(cfg config.Mesh) (*Mesh, error) { return newMesh(cfg, retainMeshJobs) }
+
+// newMesh is New with the terminal-job retention bound as a parameter, so
+// tests can reach count-eviction (and recover across it) with a few jobs.
+func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,7 +165,7 @@ func New(cfg config.Mesh) (*Mesh, error) {
 			},
 		},
 		reg:            counters.NewRegistry(),
-		jobs:           newMeshStore(),
+		jobs:           newMeshStore(retain),
 		id:             fmt.Sprintf("%08x", rng.Uint32()),
 		rng:            rng,
 		stopReaper:     make(chan struct{}),
@@ -313,10 +323,7 @@ func (m *Mesh) Crash() {
 	m.Stop()
 }
 
-// reapStale periodically evicts non-terminal jobs no client has touched for
-// staleJobAge — submit-and-forget submissions would otherwise accumulate in
-// the gateway store forever, since a job only turns terminal when a poll
-// relays a terminal node response.
+// reapStale runs sweep once per staleSweepInterval until Stop.
 func (m *Mesh) reapStale() {
 	defer m.reaperWG.Done()
 	tick := time.NewTicker(staleSweepInterval)
@@ -326,15 +333,23 @@ func (m *Mesh) reapStale() {
 		case <-m.stopReaper:
 			return
 		case <-tick.C:
-			if n := m.jobs.evictStale(staleJobAge); n > 0 {
-				m.staleC.Add(int64(n))
-				if m.wal != nil {
-					// Mirror the eviction so the journal forgets the reaped
-					// jobs instead of resurrecting them at the next restart.
-					m.journalCompact()
-				}
-			}
+			m.sweep()
 		}
+	}
+}
+
+// sweep evicts non-terminal jobs no client has touched for staleJobAge —
+// submit-and-forget submissions would otherwise accumulate in the gateway
+// store forever, since a job only turns terminal when a poll relays a
+// terminal node response — and compacts the journal when the store forgot
+// any job since the last sweep, stale-reaped here or count-evicted on the
+// request path: otherwise the journal grows by two records per job forever
+// and a restart replays all of it.
+func (m *Mesh) sweep() {
+	n := m.jobs.evictStale(staleJobAge)
+	m.staleC.Add(int64(n))
+	if m.wal != nil && (m.jobs.takeDisplaced() || n > 0) {
+		m.journalCompact()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,5 +392,62 @@ func TestUnknownSpecFieldRefusedAtFirstHop(t *testing.T) {
 	}
 	if got := len(node.Jobs()); got != 0 {
 		t.Fatalf("%d jobs reached the node", got)
+	}
+}
+
+// TestMeshFinishedJobPolledUpstreamOnce: terminal is final, so once the
+// gateway has relayed a job's terminal view, repeat polls (plain or long) are
+// served from its cache — same bytes, no further node round-trip.
+func TestMeshFinishedJobPolledUpstreamOnce(t *testing.T) {
+	node := &fakeNode{counters: map[string]float64{}}
+	var polls atomic.Int64
+	node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			polls.Add(1)
+			// A result payload, so an unchanged body means the cache kept the
+			// node's whole reply and not just the verdict.
+			writeJSON(w, http.StatusOK, map[string]any{
+				"id": strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "state": "done",
+				"result": map[string]any{"checksum": 55.0, "tasks": 177},
+			})
+			return
+		}
+		node.serve(w, r)
+	}))
+	t.Cleanup(node.ts.Close)
+	m, gw := startMesh(t, testMeshConfig(node.ts.URL))
+	waitRoutable(t, m, "fibonacci", 1)
+
+	resp, sub := postJob(t, gw.URL, `{"kind":"fibonacci","size":10}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", resp.StatusCode, sub)
+	}
+	poll := func(query string) string {
+		t.Helper()
+		resp, err := http.Get(gw.URL + "/v1/jobs/" + sub["id"].(string) + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll%s: %d %s (%v)", query, resp.StatusCode, body, err)
+		}
+		return string(body)
+	}
+	first := poll("")
+	if !strings.Contains(first, `"state":"done"`) || !strings.Contains(first, `"checksum":55`) {
+		t.Fatalf("first poll = %s, want the node's done view with its result", first)
+	}
+	for _, query := range []string{"", "?wait=true&timeout=1s"} {
+		if again := poll(query); again != first {
+			t.Fatalf("repeat poll%s = %s, first poll was %s", query, again, first)
+		}
+	}
+	if got := polls.Load(); got != 1 {
+		t.Fatalf("node saw %d status GETs for three polls of a finished job, want 1", got)
+	}
+	if got := m.terminalC.Raw(); got != 1 {
+		t.Fatalf("/mesh/jobs/terminal = %d, want 1", got)
 	}
 }

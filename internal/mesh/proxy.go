@@ -105,6 +105,14 @@ func parseRetryAfter(v string) time.Duration {
 // long-poll bound (0 for a plain poll). The result is 200 with the view, or
 // the refusal's status and reason.
 func (m *Mesh) relayStatus(job *meshJob, rawQuery string, waitTimeout time.Duration) wire.BatchItem {
+	// Terminal is final: once the node's own terminal reply is cached, every
+	// later poll is served from it without a node round-trip. A recovered
+	// job's cache is the journal's bare verdict, so it still asks its node.
+	if !job.recovered {
+		if cached, ok := m.cachedView(job); ok {
+			return cached
+		}
+	}
 	for attempt := 0; attempt <= m.cfg.MaxSubmitAttempts; attempt++ {
 		n, nodeID, epoch := job.placement()
 		if n == nil {
@@ -142,6 +150,7 @@ func (m *Mesh) relayStatus(job *meshJob, rawQuery string, waitTimeout time.Durat
 // terminal observation — and renders it for the mesh client.
 func (m *Mesh) observed(n *Node, job *meshJob, view wire.JobView) wire.BatchItem {
 	if job.observe(view) {
+		m.jobs.retire(job)
 		m.terminalC.Inc()
 		m.traceSpan(trace.PhaseEnd, n, job)
 		if m.wal != nil {
@@ -184,6 +193,10 @@ func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 
+	if waitTimeout <= 0 || m.cfg.HedgeDelay <= 0 {
+		return m.do(ctx, http.MethodGet, url, nil, trace.SpanContext{})
+	}
+
 	type result struct {
 		resp nodeReply
 		err  error
@@ -193,11 +206,6 @@ func (m *Mesh) hedgedGet(n *Node, url, nodeID string, waitTimeout time.Duration)
 		r, err := m.do(ctx, http.MethodGet, url, nil, trace.SpanContext{})
 		primary <- result{r, err}
 	}()
-
-	if waitTimeout <= 0 || m.cfg.HedgeDelay <= 0 {
-		r := <-primary
-		return r.resp, r.err
-	}
 
 	hedge := time.NewTimer(m.cfg.HedgeDelay)
 	defer hedge.Stop()

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -17,10 +18,13 @@ type meshJob struct {
 	key  string
 	kind string
 	num  uint64 // numeric part of id; the trace TaskID for hop events
+	// recovered: restored as terminal, so lastView is the journal's bare
+	// verdict (no result payload), not a node reply.
+	recovered bool
 	// spec is the hop-independent replay form forwarded to nodes: key
 	// included, no trace_context (each hop stamps a fresh child span). It is
-	// never written through — the journal shares the pointer — and stays a
-	// pointer so the struct the eviction scans walk stays small.
+	// never written through — the journal shares the pointer — and released
+	// on the first terminal observation: a terminal job is never replayed.
 	spec *wire.JobSpec
 
 	// span is the job's root trace context: minted at submission (or
@@ -44,7 +48,7 @@ type meshJob struct {
 	spills    int  // 429/transport spillovers during initial submit
 	terminal  bool // a terminal state has been observed
 	state     wire.JobState
-	lastView  *wire.JobView // last node response; serves polls after the node dies
+	lastView  *wire.JobView // last node response; serves polls once terminal
 	submitted time.Time
 	touched   time.Time // last client contact; drives stale eviction
 }
@@ -114,6 +118,9 @@ func (j *meshJob) observe(view wire.JobView) (newlyTerminal bool) {
 	j.state = view.State
 	j.lastView = &view
 	j.terminal = view.State.Terminal()
+	if j.terminal {
+		j.spec = nil
+	}
 	return j.terminal
 }
 
@@ -143,16 +150,22 @@ const (
 	staleSweepInterval = time.Minute
 )
 
-// meshStore indexes mesh jobs by gateway-scoped ID.
+// meshStore indexes mesh jobs by gateway-scoped ID. Retention is O(1) per job:
+// retired is a FIFO ring of the retained terminal jobs' IDs in the order they
+// turned terminal, and a push onto the full ring evicts the job whose slot it
+// takes. Non-terminal jobs are not in the ring, so never count-evicted.
 type meshStore struct {
-	mu     sync.Mutex
-	jobs   map[string]*meshJob
-	order  []string
-	nextID uint64
+	mu        sync.Mutex
+	jobs      map[string]*meshJob
+	retired   []string // grows to retain, then a ring whose oldest slot is head
+	head      int
+	retain    int
+	displaced bool // a terminal job was count-evicted since takeDisplaced
+	nextID    uint64
 }
 
-func newMeshStore() *meshStore {
-	return &meshStore{jobs: make(map[string]*meshJob)}
+func newMeshStore(retain int) *meshStore {
+	return &meshStore{jobs: make(map[string]*meshJob), retain: retain}
 }
 
 // add registers a new mesh job under a fresh "m-<n>" ID; the caller fills in
@@ -170,37 +183,60 @@ func (st *meshStore) add(kind string) *meshJob {
 		touched:   now,
 	}
 	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	st.evictLocked()
 	return j
 }
 
 // restore inserts a journal-recovered job under its original ID, advancing
-// nextID past it so fresh submissions never collide with recovered ones.
+// nextID past it so fresh submissions never collide with recovered ones; a
+// terminal one is retired at once, so the retention bound survives restarts.
 func (st *meshStore) restore(j *meshJob) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.jobs[j.id]; ok {
-		return
+	_, dup := st.jobs[j.id]
+	if !dup {
+		st.jobs[j.id] = j
+		if j.num >= st.nextID {
+			st.nextID = j.num
+		}
 	}
-	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	if j.num >= st.nextID {
-		st.nextID = j.num
+	st.mu.Unlock()
+	if !dup && j.terminal {
+		st.retire(j)
 	}
 }
 
-// remove deletes a job whose submission never landed anywhere.
+// retire pushes a job that just turned terminal onto the ring; on a full ring
+// the oldest-retired job is evicted to make room.
+func (st *meshStore) retire(j *meshJob) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.jobs[j.id] != j {
+		return // the stale reaper judged it abandoned an instant before
+	}
+	if len(st.retired) < st.retain {
+		st.retired = append(st.retired, j.id)
+		return
+	}
+	delete(st.jobs, st.retired[st.head])
+	st.retired[st.head] = j.id
+	st.head = (st.head + 1) % st.retain
+	st.displaced = true
+}
+
+// takeDisplaced reports whether count-eviction dropped a job since the last
+// call, clearing the mark: until compacted, the journal still holds that job.
+func (st *meshStore) takeDisplaced() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	d := st.displaced
+	st.displaced = false
+	return d
+}
+
+// remove deletes a job whose submission never landed (never in the ring).
 func (st *meshStore) remove(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.jobs, id)
-	for i, oid := range st.order {
-		if oid == id {
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // get looks a mesh job up by ID, refreshing its last-access time.
@@ -214,71 +250,35 @@ func (st *meshStore) get(id string) (*meshJob, bool) {
 	return j, ok
 }
 
-// list snapshots every retained job in submission order.
+// list snapshots every retained job in submission order; it sorts, so it is
+// for the listing endpoint and journal compaction, not the request path.
 func (st *meshStore) list() []*meshJob {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*meshJob, 0, len(st.order))
-	for _, id := range st.order {
-		if j, ok := st.jobs[id]; ok {
-			out = append(out, j)
-		}
+	out := make([]*meshJob, 0, len(st.jobs))
+	for _, j := range st.jobs {
+		out = append(out, j)
 	}
+	st.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].num < out[b].num })
 	return out
-}
-
-// evictLocked drops the oldest terminal jobs beyond the retention bound.
-// Caller holds st.mu.
-func (st *meshStore) evictLocked() {
-	terminal := 0
-	for _, id := range st.order {
-		st.jobs[id].mu.Lock()
-		if st.jobs[id].terminal {
-			terminal++
-		}
-		st.jobs[id].mu.Unlock()
-	}
-	if terminal <= retainMeshJobs {
-		return
-	}
-	kept := st.order[:0]
-	for _, id := range st.order {
-		j := st.jobs[id]
-		j.mu.Lock()
-		evict := terminal > retainMeshJobs && j.terminal
-		j.mu.Unlock()
-		if evict {
-			delete(st.jobs, id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	st.order = kept
 }
 
 // evictStale drops non-terminal jobs whose last client contact is older than
 // maxAge, returning how many were evicted. Terminal jobs are left to the
 // count-bounded eviction; actively polled jobs stay because get refreshes
 // their touch time.
-func (st *meshStore) evictStale(maxAge time.Duration) int {
+func (st *meshStore) evictStale(maxAge time.Duration) (evicted int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cutoff := time.Now().Add(-maxAge)
-	kept := st.order[:0]
-	evicted := 0
-	for _, id := range st.order {
-		j := st.jobs[id]
+	for id, j := range st.jobs {
 		j.mu.Lock()
 		stale := !j.terminal && j.touched.Before(cutoff)
 		j.mu.Unlock()
 		if stale {
 			delete(st.jobs, id)
 			evicted++
-			continue
 		}
-		kept = append(kept, id)
 	}
-	st.order = kept
 	return evicted
 }

@@ -84,15 +84,17 @@ type Event struct {
 // All methods are safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
-	events []Event
+	events []Event // grows to limit, then a ring whose oldest slot is head
+	head   int
 	limit  int
 	drops  int64
 }
 
-// New creates a tracer retaining at most limit events (<=0 means one
-// million); recording stops at the cap so tracing can never OOM an
-// experiment, but the drops are counted (Drops) and reported by
-// RenderSummary and the Chrome JSON metadata — a truncated trace announces
+// New creates a tracer retaining the newest limit events (<=0 means one
+// million): once full, each recorded event overwrites the oldest one, so
+// tracing can never OOM an experiment and a long-lived tracer always holds
+// the most recent window. Overwritten events are counted (Drops) and reported
+// by RenderSummary and the Chrome JSON metadata — a truncated trace announces
 // itself instead of silently under-reporting the run.
 func New(limit int) *Tracer {
 	if limit <= 0 {
@@ -101,13 +103,15 @@ func New(limit int) *Tracer {
 	return &Tracer{limit: limit}
 }
 
-// Record appends one event; once the cap is reached events are counted as
-// dropped instead of retained.
+// Record appends one event; at the cap it replaces the oldest retained event,
+// which is counted as dropped.
 func (t *Tracer) Record(e Event) {
 	t.mu.Lock()
 	if len(t.events) < t.limit {
 		t.events = append(t.events, e)
 	} else {
+		t.events[t.head] = e
+		t.head = (t.head + 1) % t.limit
 		t.drops++
 	}
 	t.mu.Unlock()
@@ -120,7 +124,7 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Drops returns the number of events discarded at the retention cap.
+// Drops returns the number of events overwritten at the retention cap.
 func (t *Tracer) Drops() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -131,9 +135,50 @@ func (t *Tracer) Drops() int64 {
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
+	out := make([]Event, 0, len(t.events))
+	out = append(out, t.events[t.head:]...)
+	return append(out, t.events[:t.head]...)
+}
+
+// phase is one PhaseBegin paired with its PhaseEnd on a worker lane.
+type phase struct {
+	worker         int
+	task           uint64
+	beginNs, endNs int64
+	open           bool // no end in the trace: closed at the max observed timestamp
+}
+
+// pairPhases pairs each PhaseEnd with the open PhaseBegin of the same task on
+// the same lane (a task runs one phase at a time), and returns the phases
+// with the max observed timestamp. An end whose begin is not among the events
+// (the ring overwrote it) is ignored; a begin whose end is missing (it fell
+// outside the retained window, or the run was cut short) is closed at that
+// max timestamp so its busy time is not dropped.
+func pairPhases(events []Event) (phases []phase, maxTs int64) {
+	type lane struct {
+		worker int
+		task   uint64
+	}
+	open := map[lane]int64{} // begin timestamp
+	for _, e := range events {
+		if e.TsNs > maxTs {
+			maxTs = e.TsNs
+		}
+		k := lane{e.Worker, e.TaskID}
+		switch e.Kind {
+		case PhaseBegin:
+			open[k] = e.TsNs
+		case PhaseEnd:
+			if b, ok := open[k]; ok {
+				delete(open, k)
+				phases = append(phases, phase{worker: e.Worker, task: e.TaskID, beginNs: b, endNs: e.TsNs})
+			}
+		}
+	}
+	for k, b := range open {
+		phases = append(phases, phase{worker: k.worker, task: k.task, beginNs: b, endNs: maxTs, open: true})
+	}
+	return phases, maxTs
 }
 
 // chromeEvent is the Chrome trace-event JSON shape.
@@ -149,66 +194,45 @@ type chromeEvent struct {
 
 // WriteChromeJSON emits the trace in Chrome trace-event format: one
 // complete ("X") slice per phase on its worker lane, instant events for
-// spawn/suspend/resume/steal. Phases still open when the trace ends (their
-// PhaseEnd fell past the retention cap or the run was cut short) are closed
-// at the max observed timestamp so their busy time is not dropped; the
-// otherData metadata records retained/dropped event counts and how many
-// spans were closed this way.
+// spawn/suspend/resume/steal and the mesh hops. Phases are paired by
+// pairPhases, so an end whose begin the ring overwrote is left out and a
+// phase still open when the trace ends is closed at the max observed
+// timestamp; the otherData metadata records retained/dropped event counts
+// and how many spans were closed this way.
 func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	events := t.Events()
 	var out []chromeEvent
-	var maxTs int64
-	// Pair begins with ends per (worker, task). One phase at a time runs on
-	// a worker, so a per-worker stack of open phases suffices.
-	open := map[int][]Event{}
 	for _, e := range events {
-		if e.TsNs > maxTs {
-			maxTs = e.TsNs
+		if e.Kind == PhaseBegin || e.Kind == PhaseEnd {
+			continue
 		}
-		switch e.Kind {
-		case PhaseBegin:
-			open[e.Worker] = append(open[e.Worker], e)
-		case PhaseEnd:
-			stack := open[e.Worker]
-			if len(stack) == 0 {
-				continue // unmatched end: drop
-			}
-			b := stack[len(stack)-1]
-			open[e.Worker] = stack[:len(stack)-1]
-			out = append(out, chromeEvent{
-				Name: fmt.Sprintf("task %d", e.TaskID),
-				Ph:   "X",
-				Ts:   float64(b.TsNs) / 1000,
-				Dur:  float64(e.TsNs-b.TsNs) / 1000,
-				Pid:  0,
-				Tid:  e.Worker,
-				Args: map[string]any{"task": e.TaskID},
-			})
-		default:
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(),
-				Ph:   "i",
-				Ts:   float64(e.TsNs) / 1000,
-				Pid:  0,
-				Tid:  e.Worker,
-				Args: map[string]any{"task": e.TaskID},
-			})
-		}
+		out = append(out, chromeEvent{
+			Name: e.Kind.String(),
+			Ph:   "i",
+			Ts:   float64(e.TsNs) / 1000,
+			Pid:  0,
+			Tid:  e.Worker,
+			Args: map[string]any{"task": e.TaskID},
+		})
 	}
+	phases, maxTs := pairPhases(events)
 	openSpans := 0
-	for worker, stack := range open {
-		for _, b := range stack {
-			openSpans++
-			out = append(out, chromeEvent{
-				Name: fmt.Sprintf("task %d (open)", b.TaskID),
-				Ph:   "X",
-				Ts:   float64(b.TsNs) / 1000,
-				Dur:  float64(maxTs-b.TsNs) / 1000,
-				Pid:  0,
-				Tid:  worker,
-				Args: map[string]any{"task": b.TaskID, "open": true},
-			})
+	for _, p := range phases {
+		ce := chromeEvent{
+			Name: fmt.Sprintf("task %d", p.task),
+			Ph:   "X",
+			Ts:   float64(p.beginNs) / 1000,
+			Dur:  float64(p.endNs-p.beginNs) / 1000,
+			Pid:  0,
+			Tid:  p.worker,
+			Args: map[string]any{"task": p.task},
 		}
+		if p.open {
+			openSpans++
+			ce.Name += " (open)"
+			ce.Args["open"] = true
+		}
+		out = append(out, ce)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
 	enc := json.NewEncoder(w)
@@ -248,20 +272,16 @@ func (s WorkerStats) Utilization() float64 {
 }
 
 // Summary computes per-worker phase counts and busy time from the trace,
-// plus global event-kind counts. Phases still open at trace end are closed
-// at the max observed timestamp, so a truncated trace does not under-report
-// the busy time of the exact long phases that outran it.
+// plus global event-kind counts. Phases are paired by pairPhases: one still
+// open at trace end is closed at the max observed timestamp, so a truncated
+// trace does not under-report the busy time of the exact long phases that
+// outran it.
 func (t *Tracer) Summary() ([]WorkerStats, map[Kind]int) {
 	events := t.Events()
 	perWorker := map[int]*WorkerStats{}
-	begins := map[int]int64{} // worker → open begin ts
 	kinds := map[Kind]int{}
-	var maxTs int64
 	for _, e := range events {
 		kinds[e.Kind]++
-		if e.TsNs > maxTs {
-			maxTs = e.TsNs
-		}
 		if e.Worker < 0 {
 			continue
 		}
@@ -276,23 +296,17 @@ func (t *Tracer) Summary() ([]WorkerStats, map[Kind]int) {
 		if e.TsNs > ws.LastNs {
 			ws.LastNs = e.TsNs
 		}
-		switch e.Kind {
-		case PhaseBegin:
-			begins[e.Worker] = e.TsNs
-		case PhaseEnd:
-			if b, ok := begins[e.Worker]; ok {
-				ws.BusyNs += e.TsNs - b
-				ws.Phases++
-				delete(begins, e.Worker)
-			}
-		}
 	}
-	for worker, b := range begins {
-		ws := perWorker[worker]
-		ws.BusyNs += maxTs - b
+	phases, _ := pairPhases(events)
+	for _, p := range phases {
+		ws, ok := perWorker[p.worker]
+		if !ok {
+			continue
+		}
+		ws.BusyNs += p.endNs - p.beginNs
 		ws.Phases++
-		if maxTs > ws.LastNs {
-			ws.LastNs = maxTs
+		if p.endNs > ws.LastNs {
+			ws.LastNs = p.endNs
 		}
 	}
 	out := make([]WorkerStats, 0, len(perWorker))
@@ -342,44 +356,26 @@ func (t *Tracer) Timeline(bucketNs int64) []TimelineBucket {
 	}
 	events := t.Events()
 	workers := map[int]bool{}
-	var maxTs int64
-	type span struct{ b, e int64 }
-	var spans []span
-	open := map[int]int64{}
 	for _, ev := range events {
-		if ev.TsNs > maxTs {
-			maxTs = ev.TsNs
-		}
 		if ev.Worker >= 0 {
 			workers[ev.Worker] = true
 		}
-		switch ev.Kind {
-		case PhaseBegin:
-			open[ev.Worker] = ev.TsNs
-		case PhaseEnd:
-			if b, ok := open[ev.Worker]; ok {
-				spans = append(spans, span{b, ev.TsNs})
-				delete(open, ev.Worker)
-			}
-		}
 	}
-	// Close phases still open at trace end at the max observed timestamp so
-	// the trailing buckets keep the busy time of phases that outran the
-	// trace.
-	for _, b := range open {
-		spans = append(spans, span{b, maxTs})
-	}
+	// Phases still open at trace end come back closed at the max observed
+	// timestamp, so the trailing buckets keep the busy time of phases that
+	// outran the trace.
+	spans, maxTs := pairPhases(events)
 	if maxTs == 0 || len(workers) == 0 {
 		return nil
 	}
 	nBuckets := int(maxTs/bucketNs) + 1
 	busy := make([]int64, nBuckets)
 	for _, s := range spans {
-		for cur := s.b; cur < s.e; {
+		for cur := s.beginNs; cur < s.endNs; {
 			idx := cur / bucketNs
 			end := (idx + 1) * bucketNs
-			if end > s.e {
-				end = s.e
+			if end > s.endNs {
+				end = s.endNs
 			}
 			if int(idx) < nBuckets {
 				busy[idx] += end - cur

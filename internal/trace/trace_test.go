@@ -21,9 +21,78 @@ func TestRecordAndCap(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d, want cap 3", tr.Len())
 	}
+	// The tracer keeps the newest events, oldest first.
 	ev := tr.Events()
-	if len(ev) != 3 || ev[0].TaskID != 0 || ev[2].TaskID != 2 {
+	if len(ev) != 3 || ev[0].TaskID != 7 || ev[1].TaskID != 8 || ev[2].TaskID != 9 {
 		t.Fatalf("events = %+v", ev)
+	}
+}
+
+// TestRingOverwritesOldestFirst: past the cap every Record overwrites exactly
+// the oldest retained event and counts it as a drop, and Events always
+// returns the retained window in recording order — also when the cap is not
+// a divisor of the number of events recorded.
+func TestRingOverwritesOldestFirst(t *testing.T) {
+	const limit = 4
+	tr := New(limit)
+	for i := 0; i < 11; i++ {
+		tr.Record(Event{Kind: Spawn, TaskID: uint64(i)})
+		want := i + 1
+		if want > limit {
+			want = limit
+		}
+		ev := tr.Events()
+		if len(ev) != want || tr.Len() != want {
+			t.Fatalf("after %d records: %d events (Len %d), want %d", i+1, len(ev), tr.Len(), want)
+		}
+		for k, e := range ev {
+			if e.TaskID != uint64(i+1-want+k) {
+				t.Fatalf("after %d records: events = %+v, want ids %d..%d in order", i+1, ev, i+1-want, i)
+			}
+		}
+		if got := tr.Drops(); got != int64(i+1-want) {
+			t.Fatalf("after %d records: Drops = %d, want %d", i+1, got, i+1-want)
+		}
+	}
+}
+
+// TestOrphanedPhaseEndIgnored is the gateway's case: jobs overlap on one node
+// lane, and the ring overwrote task 1's begin while its end survived. The
+// orphaned end must not be charged to another task's open begin — every
+// export sees only task 2's phase.
+func TestOrphanedPhaseEndIgnored(t *testing.T) {
+	tr := New(3)
+	tr.Record(Event{Kind: PhaseBegin, TaskID: 1, Worker: 0, TsNs: 1000}) // overwritten
+	tr.Record(Event{Kind: PhaseBegin, TaskID: 2, Worker: 0, TsNs: 2000})
+	tr.Record(Event{Kind: PhaseEnd, TaskID: 1, Worker: 0, TsNs: 3000}) // orphan
+	tr.Record(Event{Kind: PhaseEnd, TaskID: 2, Worker: 0, TsNs: 4000})
+
+	var buf strings.Builder
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 1 || doc.TraceEvents[0].Name != "task 2" ||
+		doc.TraceEvents[0].Ts != 2 || doc.TraceEvents[0].Dur != 2 {
+		t.Fatalf("chrome events = %+v, want only task 2 over [2µs,4µs)", doc.TraceEvents)
+	}
+	stats, _ := tr.Summary()
+	if len(stats) != 1 || stats[0].Phases != 1 || stats[0].BusyNs != 2000 {
+		t.Fatalf("summary = %+v, want 1 phase of 2000ns", stats)
+	}
+	// [2000,4000) busy on the one lane: buckets 2 and 3 of 1µs are full.
+	tl := tr.Timeline(1000)
+	if len(tl) != 5 || tl[1].Busy != 0 || tl[2].Busy != 1 || tl[3].Busy != 1 {
+		t.Fatalf("timeline = %+v", tl)
 	}
 }
 
@@ -264,11 +333,11 @@ func TestDropsCountedAndReported(t *testing.T) {
 
 func TestChromeJSONMetadataAndOpenSpans(t *testing.T) {
 	tr := New(4)
-	tr.Record(Event{Kind: PhaseBegin, TaskID: 1, Worker: 0, TsNs: 1000})
+	tr.Record(Event{Kind: PhaseBegin, TaskID: 1, Worker: 0, TsNs: 1000}) // overwritten at cap
 	tr.Record(Event{Kind: PhaseEnd, TaskID: 1, Worker: 0, TsNs: 2000})
-	tr.Record(Event{Kind: PhaseBegin, TaskID: 2, Worker: 1, TsNs: 1500})
-	tr.Record(Event{Kind: Spawn, TaskID: 3, Worker: -1, TsNs: 5000})   // max ts
-	tr.Record(Event{Kind: PhaseEnd, TaskID: 2, Worker: 1, TsNs: 6000}) // dropped at cap
+	tr.Record(Event{Kind: PhaseBegin, TaskID: 2, Worker: 1, TsNs: 1500}) // never ends
+	tr.Record(Event{Kind: Spawn, TaskID: 3, Worker: -1, TsNs: 5000})     // max ts
+	tr.Record(Event{Kind: Steal, TaskID: 4, Worker: 0, TsNs: 4000})
 
 	var buf strings.Builder
 	if err := tr.WriteChromeJSON(&buf); err != nil {
@@ -296,6 +365,9 @@ func TestChromeJSONMetadataAndOpenSpans(t *testing.T) {
 	// observed timestamp (5000ns): ts 1.5µs, dur 3.5µs.
 	found := false
 	for _, ev := range doc.TraceEvents {
+		if ev.Name == "task 1" {
+			t.Fatalf("task 1's end was rendered though its begin was overwritten: %+v", ev)
+		}
 		if ev.Name == "task 2 (open)" && ev.Ph == "X" {
 			found = true
 			if ev.Ts != 1.5 || ev.Dur != 3.5 {
