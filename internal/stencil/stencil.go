@@ -15,6 +15,9 @@
 //     oracle;
 //   - NewSimWorkload: the dependency DAG alone, for the discrete-event
 //     simulator that regenerates the paper's multi-core figures.
+//
+// HeatInto is the per-partition kernel on its own, writing into the
+// caller's buffer; Run's tasks and the serving runner in taskserve share it.
 package stencil
 
 import (
@@ -104,18 +107,27 @@ func heatPoint(left, middle, right, alpha float64) float64 {
 // partitions of the previous step (left, middle, right neighbours on the
 // ring) — the body of each dataflow task.
 func heatPart(left, middle, right Partition, alpha float64) Partition {
-	n := len(middle)
-	next := make(Partition, n)
-	if n == 1 {
-		next[0] = heatPoint(left[len(left)-1], middle[0], right[0], alpha)
-		return next
-	}
-	next[0] = heatPoint(left[len(left)-1], middle[0], middle[1], alpha)
-	for i := 1; i < n-1; i++ {
-		next[i] = heatPoint(middle[i-1], middle[i], middle[i+1], alpha)
-	}
-	next[n-1] = heatPoint(middle[n-2], middle[n-1], right[0], alpha)
+	next := make(Partition, len(middle))
+	HeatInto(left[len(left)-1], middle, right[0], next, alpha)
 	return next
+}
+
+// HeatInto writes one heat step of mid into out, given the ring values just
+// left and right of mid. out must have len(mid) points and must not overlap
+// mid; nothing is allocated, so a caller that owns its buffers (the serving
+// runner's ping-pong rings) pays only the kernel.
+func HeatInto(left float64, mid []float64, right float64, out []float64, alpha float64) {
+	n := len(mid)
+	out = out[:n]
+	if n == 1 {
+		out[0] = heatPoint(left, mid[0], right, alpha)
+		return
+	}
+	out[0] = heatPoint(left, mid[0], mid[1], alpha)
+	for i := 1; i < n-1; i++ {
+		out[i] = heatPoint(mid[i-1], mid[i], mid[i+1], alpha)
+	}
+	out[n-1] = heatPoint(mid[n-2], mid[n-1], right, alpha)
 }
 
 // Solution is the final state of a stencil run.

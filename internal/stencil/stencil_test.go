@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,43 @@ func TestSimWorkloadOwnerComputesPlacement(t *testing.T) {
 	// Determinism per placement mode.
 	if again := mk(OwnerComputes); again.MakespanNs != oc.MakespanNs {
 		t.Fatal("owner-computes run not deterministic")
+	}
+}
+
+// HeatInto is the kernel heatPart wraps and the serving runner calls on its
+// rings: on random partitions it must equal heatPart and the per-point
+// definition over the concatenated neighbourhood bit for bit, and write
+// exactly len(mid) points.
+func TestHeatIntoMatchesHeatPart(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randPart := func(n int) Partition {
+		p := make(Partition, n)
+		for i := range p {
+			p[i] = rng.NormFloat64() * 100
+		}
+		return p
+	}
+	for _, n := range []int{1, 2, 257} {
+		for trial := 0; trial < 20; trial++ {
+			left, mid, right := randPart(1+rng.Intn(4)), randPart(n), randPart(1+rng.Intn(4))
+			alpha := 0.5 * rng.Float64()
+			want := heatPart(left, mid, right, alpha)
+
+			out := make([]float64, n+1)
+			out[n] = -1 // sentinel past the partition
+			HeatInto(left[len(left)-1], mid, right[0], out, alpha)
+			if out[n] != -1 {
+				t.Fatalf("n=%d: HeatInto wrote past len(mid)", n)
+			}
+			flat := append(append([]float64{left[len(left)-1]}, mid...), right[0])
+			for i := 0; i < n; i++ {
+				if out[i] != want[i] {
+					t.Fatalf("n=%d point %d: HeatInto %v, heatPart %v", n, i, out[i], want[i])
+				}
+				if def := heatPoint(flat[i], flat[i+1], flat[i+2], alpha); out[i] != def {
+					t.Fatalf("n=%d point %d: HeatInto %v, definition %v", n, i, out[i], def)
+				}
+			}
+		}
 	}
 }

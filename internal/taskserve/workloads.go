@@ -14,6 +14,7 @@ import (
 
 	"taskgrain/internal/future"
 	simpkg "taskgrain/internal/sim"
+	"taskgrain/internal/stencil"
 	"taskgrain/internal/taskbench"
 	"taskgrain/internal/taskrt"
 	"taskgrain/internal/trace"
@@ -266,98 +267,111 @@ func runTaskbenchJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() b
 	return out, nil
 }
 
+// maxPooledRingPoints is the largest ring ringPool keeps. A bigger job
+// allocates its rings for itself and leaves them to the GC, so one
+// max_job_size job cannot pin 16 B per point in the pool until two GCs pass.
+const maxPooledRingPoints = 4 << 20
+
+// ringPool recycles stencil jobs' ring pairs: each entry is one *[]float64
+// holding a job's two rings back to back. The init wave writes every point,
+// so a recycled pair needs no zeroing.
+var ringPool sync.Pool
+
+// getRings returns a buffer of 2n points for one job's ring pair.
+func getRings(n int) *[]float64 {
+	if n <= maxPooledRingPoints {
+		if buf, _ := ringPool.Get().(*[]float64); buf != nil && cap(*buf) >= 2*n {
+			*buf = (*buf)[:2*n]
+			return buf
+		}
+	}
+	buf := make([]float64, 2*n)
+	return &buf
+}
+
+// putRings hands a finished job's ring pair back, unless it is over the
+// pool ceiling.
+func putRings(buf *[]float64) {
+	if cap(*buf) <= 2*maxPooledRingPoints {
+		ringPool.Put(buf)
+	}
+}
+
 // runStencilJob executes Size grid points of three-point heat diffusion on a
 // ring for Steps steps, one task per partition per step with a group barrier
 // between steps — the serving-path edition of the paper's HPX-Stencil
 // benchmark, with grain = points per partition.
+//
+// Unlike stencil.Run it allocates no grid points per task: the job
+// ping-pongs between two flat rings, and partition p is the subslice
+// [p·grain, min(n,(p+1)·grain)) of each. The barrier after every wave orders
+// all reads of a ring before the next wave overwrites it, and the wave state
+// only changes between waves, on this goroutine, so one closure per
+// partition serves every wave.
 func runStencilJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() bool) (*runResult, error) {
 	n := spec.Size
 	parts := (n + grain - 1) / grain
-	const alpha = 0.25
+	buf := getRings(n)
+	defer putRings(buf)
+	j := &stencilJob{n: n, grain: grain, rings: [2][]float64{(*buf)[:n], (*buf)[n:]}, init: true, abort: abort}
 
-	cur := make([][]float64, parts)
-	next := make([][]float64, parts)
-	var tasks atomic.Int64
-
-	// Initialization wave: one task per partition, spawned as one batch —
-	// the serving path fans out `parts` tasks per wave, so the batched
-	// spawn is where the per-task spawn cost amortizes.
-	g := rt.NewGroup()
-	initFns := make([]func(*taskrt.Context), parts)
-	for p := 0; p < parts; p++ {
-		p := p
-		initFns[p] = func(*taskrt.Context) {
-			lo := p * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			part := make([]float64, hi-lo)
-			if !abort() {
-				for i := range part {
-					part[i] = float64(lo + i)
-				}
-			}
-			cur[p] = part
-		}
+	fns := make([]func(*taskrt.Context), parts)
+	for p := range parts {
+		fns[p] = func(*taskrt.Context) { j.run(p) }
 	}
-	tasks.Add(int64(parts))
-	g.SpawnBatch(initFns)
+	// Each wave is one batch — the serving path fans out `parts` tasks per
+	// wave, so the batched spawn is where the per-task spawn cost amortizes.
+	g := rt.NewGroup()
+	g.SpawnBatch(fns)
 	g.Wait()
-
+	j.init = false
 	steps := 0
-	stepFns := make([]func(*taskrt.Context), parts)
-	for s := 0; s < spec.Steps && !abort(); s++ {
-		g := rt.NewGroup()
-		for p := 0; p < parts; p++ {
-			p := p
-			stepFns[p] = func(*taskrt.Context) {
-				left := cur[(p-1+parts)%parts]
-				mid := cur[p]
-				right := cur[(p+1)%parts]
-				out := make([]float64, len(mid))
-				if abort() {
-					copy(out, mid)
-				} else {
-					heatKernel(left, mid, right, out, alpha)
-				}
-				next[p] = out
-			}
-		}
-		tasks.Add(int64(parts))
-		g.SpawnBatch(stepFns)
+	for ; steps < spec.Steps && !abort(); steps++ {
+		g.SpawnBatch(fns)
 		g.Wait()
-		cur, next = next, cur
-		steps++
+		j.src ^= 1
 	}
 
 	sum := 0.0
-	for _, part := range cur {
-		for _, v := range part {
-			sum += v
-		}
+	for _, v := range j.rings[j.src] {
+		sum += v
 	}
-	return &runResult{JobResult{Tasks: tasks.Load(), Checksum: sum}, steps + 1}, nil
+	return &runResult{JobResult{Tasks: int64(parts) * int64(steps+1), Checksum: sum}, steps + 1}, nil
 }
 
-// heatKernel applies the three-point diffusion update to one partition given
-// its ring neighbours.
-func heatKernel(left, mid, right, out []float64, alpha float64) {
-	m := len(mid)
-	at := func(i int) float64 {
-		switch {
-		case i < 0:
-			return left[len(left)-1]
-		case i >= m:
-			return right[0]
-		default:
-			return mid[i]
+// stencilJob is the state one stencil job's tasks share. Only the job
+// goroutine writes init and src, and only between waves.
+type stencilJob struct {
+	n, grain int
+	rings    [2][]float64
+	init     bool // the current wave writes the initial values into rings[0]
+	src      int  // a step wave reads rings[src] and writes rings[src^1]
+	abort    func() bool
+}
+
+// run is partition p's task body for the current wave. An aborted task
+// keeps the wave's shape at queue speed: init writes zeros, a step copies
+// its points forward unchanged.
+func (j *stencilJob) run(p int) {
+	lo, hi := p*j.grain, min(j.n, (p+1)*j.grain)
+	if j.init {
+		part := j.rings[0][lo:hi]
+		if j.abort() {
+			clear(part)
+			return
 		}
+		for i := range part {
+			part[i] = stencil.InitialValue(lo + i)
+		}
+		return
 	}
-	for i := 0; i < m; i++ {
-		l, c, r := at(i-1), mid[i], at(i+1)
-		out[i] = c + alpha*(l-2*c+r)
+	cur, next := j.rings[j.src], j.rings[j.src^1]
+	if j.abort() {
+		copy(next[lo:hi], cur[lo:hi])
+		return
 	}
+	const alpha = 0.25
+	stencil.HeatInto(cur[(lo-1+j.n)%j.n], cur[lo:hi], cur[hi%j.n], next[lo:hi], alpha)
 }
 
 // runFibJob computes fib(Size) as a recursive future tree with a sequential
