@@ -57,15 +57,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"sort"
-	"strings"
-	"syscall"
 	"time"
 
 	"taskgrain/internal/config"
+	"taskgrain/internal/daemon"
 	"taskgrain/internal/taskserve"
 )
 
@@ -75,121 +71,39 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // split from main for testability.
 func run(args []string, stdout, stderr io.Writer) int {
 	cfg := config.DefaultServer()
-	// The -config file is the lowest explicit layer, so its path must be
-	// known before flag parsing binds the remaining layers; pre-scan for it.
-	if path := configPathFromArgs(args); path != "" {
-		loaded, err := config.LoadServerFile(path)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		cfg = loaded
-	}
-	if err := cfg.ApplyEnv(os.LookupEnv); err != nil {
-		return fail(stderr, err)
-	}
-
 	fs := flag.NewFlagSet("taskgraind", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.String("config", "", "JSON configuration file")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on the graceful drain after SIGTERM")
-	cfg.Flags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code := daemon.Configure(fs, args, stderr, &cfg, func(path string) (err error) {
+		cfg, err = config.LoadServerFile(path)
+		return err
+	}); code != 0 {
+		return code
 	}
 
 	s, err := taskserve.New(cfg)
 	if err != nil {
-		return fail(stderr, err)
+		return daemon.Fail(stderr, "taskgraind", err)
 	}
 	s.Start()
-
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		s.Close()
-		return fail(stderr, err)
-	}
-	srv := newHTTPServer(s.Handler())
-	fmt.Fprintf(stdout, "taskgraind listening on %s (workers %d, policy %s, queue %d, high-idle %.0f%%)\n",
-		ln.Addr(), s.Config().Workers, cfg.Policy, cfg.MaxQueuedJobs, cfg.HighIdle*100)
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
-
-	select {
-	case sig := <-sigc:
+	err = daemon.Serve(cfg.Addr, s.Handler(), func(addr net.Addr) {
+		fmt.Fprintf(stdout, "taskgraind listening on %s (workers %d, policy %s, queue %d, high-idle %.0f%%)\n",
+			addr, s.Config().Workers, cfg.Policy, cfg.MaxQueuedJobs, cfg.HighIdle*100)
+	}, func(sig os.Signal) error {
+		// Stop admitting, finish everything already admitted, flush counters.
 		fmt.Fprintf(stdout, "taskgraind: %v — draining (new submissions get 503 + Retry-After)\n", sig)
-	case err := <-errc:
-		s.Close()
-		return fail(stderr, err)
-	}
-
-	// Stop admitting, finish everything already admitted, flush counters.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	snap, drainErr := s.Drain(ctx)
-	flushCounters(stdout, snap)
-
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shutCancel()
-	_ = srv.Shutdown(shutCtx)
+		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		defer cancel()
+		snap, err := s.Drain(ctx)
+		daemon.FlushCounters(stdout, snap)
+		if err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+		return nil
+	})
 	s.Close()
-
-	if drainErr != nil {
-		return fail(stderr, fmt.Errorf("drain: %w", drainErr))
+	if err != nil {
+		return daemon.Fail(stderr, "taskgraind", err)
 	}
 	fmt.Fprintln(stdout, "taskgraind: drained cleanly")
 	return 0
-}
-
-// newHTTPServer wraps the daemon handler with the connection bounds a
-// network-facing listener needs. No ReadTimeout/WriteTimeout: status
-// long-polls legitimately hold a response open for minutes. Header reads and
-// idle keep-alives still get bounded so stalled clients cannot pin
-// connections forever.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
-// fail prints the error and returns a non-zero exit code.
-func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "taskgraind:", err)
-	return 1
-}
-
-// configPathFromArgs extracts the -config value ahead of full flag parsing.
-func configPathFromArgs(args []string) string {
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		for _, prefix := range []string{"-config", "--config"} {
-			if a == prefix && i+1 < len(args) {
-				return args[i+1]
-			}
-			if strings.HasPrefix(a, prefix+"=") {
-				return strings.TrimPrefix(a, prefix+"=")
-			}
-		}
-	}
-	return ""
-}
-
-// flushCounters writes the final counter snapshot, sorted by name, so the
-// run's totals survive in the daemon's log after shutdown.
-func flushCounters(w io.Writer, snap map[string]float64) {
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(w, "final counters:")
-	for _, n := range names {
-		fmt.Fprintf(w, "  %-50s %v\n", n, snap[n])
-	}
 }

@@ -43,20 +43,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"sort"
-	"strings"
-	"syscall"
-	"time"
 
 	"taskgrain/internal/config"
+	"taskgrain/internal/daemon"
 	"taskgrain/internal/mesh"
 )
 
@@ -66,102 +60,30 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // split from main for testability.
 func run(args []string, stdout, stderr io.Writer) int {
 	cfg := config.DefaultMesh()
-	if path := configPathFromArgs(args); path != "" {
-		loaded, err := config.LoadMeshFile(path)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		cfg = loaded
-	}
-	if err := cfg.ApplyEnv(os.LookupEnv); err != nil {
-		return fail(stderr, err)
-	}
-
 	fs := flag.NewFlagSet("taskmeshd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.String("config", "", "JSON configuration file")
-	cfg.Flags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code := daemon.Configure(fs, args, stderr, &cfg, func(path string) (err error) {
+		cfg, err = config.LoadMeshFile(path)
+		return err
+	}); code != 0 {
+		return code
 	}
 
 	m, err := mesh.New(cfg)
 	if err != nil {
-		return fail(stderr, err)
+		return daemon.Fail(stderr, "taskmeshd", err)
 	}
 	m.Start()
-
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		m.Stop()
-		return fail(stderr, err)
-	}
-	// No ReadTimeout/WriteTimeout: status long-polls legitimately hold a
-	// response open for minutes. Header reads and idle keep-alives still get
-	// bounded so stalled clients cannot pin connections forever.
-	srv := &http.Server{
-		Handler:           m.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	fmt.Fprintf(stdout, "taskmeshd listening on %s (policy %s, %d nodes)\n",
-		ln.Addr(), cfg.RoutePolicy, len(cfg.Nodes))
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
-
-	select {
-	case sig := <-sigc:
+	err = daemon.Serve(cfg.Addr, m.Handler(), func(addr net.Addr) {
+		fmt.Fprintf(stdout, "taskmeshd listening on %s (policy %s, %d nodes)\n", addr, cfg.RoutePolicy, len(cfg.Nodes))
+	}, func(sig os.Signal) error {
 		fmt.Fprintf(stdout, "taskmeshd: %v — shutting down\n", sig)
-	case err := <-errc:
-		m.Stop()
-		return fail(stderr, err)
-	}
-
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shutCancel()
-	_ = srv.Shutdown(shutCtx)
+		return nil
+	})
 	m.Stop()
-	flushCounters(stdout, m.Counters().Snapshot())
+	if err != nil {
+		return daemon.Fail(stderr, "taskmeshd", err)
+	}
+	daemon.FlushCounters(stdout, m.Counters().Snapshot())
 	fmt.Fprintln(stdout, "taskmeshd: stopped")
 	return 0
-}
-
-// fail prints the error and returns a non-zero exit code.
-func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "taskmeshd:", err)
-	return 1
-}
-
-// configPathFromArgs extracts the -config value ahead of full flag parsing.
-func configPathFromArgs(args []string) string {
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		for _, prefix := range []string{"-config", "--config"} {
-			if a == prefix && i+1 < len(args) {
-				return args[i+1]
-			}
-			if strings.HasPrefix(a, prefix+"=") {
-				return strings.TrimPrefix(a, prefix+"=")
-			}
-		}
-	}
-	return ""
-}
-
-// flushCounters writes the final routing-counter snapshot, sorted by name.
-func flushCounters(w io.Writer, snap map[string]float64) {
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(w, "final counters:")
-	for _, n := range names {
-		fmt.Fprintf(w, "  %-50s %v\n", n, snap[n])
-	}
 }

@@ -6,12 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
-
-	"taskgrain/internal/journal"
-	"taskgrain/internal/policyengine"
 )
 
 // Mesh routing policy names. The list is the contract between this package
@@ -31,8 +27,8 @@ var MeshPolicies = []string{MeshPolicyLeastIdleRate, MeshPolicyLeastInflight, Me
 // lowest to highest: defaults, a JSON file (LoadMesh), environment variables
 // (ApplyEnv, TASKMESHD_* keys), and command-line flags (Flags).
 type Mesh struct {
-	// Addr is the gateway's HTTP listen address.
-	Addr string `json:"addr"`
+	Common
+
 	// Nodes lists the seed taskgraind base URLs the registry heartbeats
 	// ("http://host:port"; a bare host:port gets the scheme prepended).
 	Nodes []string `json:"nodes"`
@@ -47,9 +43,6 @@ type Mesh struct {
 	// MaxSubmitAttempts bounds the per-submission node tries across all
 	// spillover passes before the gateway itself sheds with 503.
 	MaxSubmitAttempts int `json:"max_submit_attempts"`
-	// MaxBatchJobs bounds how many specs one POST /v1/jobs/batch may carry;
-	// it also caps the size of the per-node sub-batches the gateway forwards.
-	MaxBatchJobs int `json:"max_batch_jobs"`
 	// MaxBackoff caps how long one spillover pass honours a node's
 	// Retry-After hint before re-ranking and retrying.
 	MaxBackoff time.Duration `json:"max_backoff_ns"`
@@ -64,61 +57,29 @@ type Mesh struct {
 	// RequestTimeout bounds each forwarded non-long-poll request
 	// (submissions, probes, cancels, heartbeats).
 	RequestTimeout time.Duration `json:"request_timeout_ns"`
-	// ControlMode selects whether the gateway's control plane actuates its
-	// decisions — pushing cluster grain-consensus hints to joining nodes —
-	// ("actuate", the default) or only records them ("advisory").
-	ControlMode string `json:"control_mode,omitempty"`
-
-	// TelemetryInterval is the gateway's counter-sampling period for the
-	// telemetry ring behind /mesh/metrics and the per-node watchdogs.
-	TelemetryInterval time.Duration `json:"telemetry_interval_ns"`
-	// TelemetryRing is the ring capacity in samples.
-	TelemetryRing int `json:"telemetry_ring"`
-	// WatchdogWindow is the sliding window a node's idle-rate must stay
-	// above tolerance for before its /telemetry/alerts condition fires.
-	WatchdogWindow time.Duration `json:"watchdog_window_ns"`
-
-	// JournalDir, when non-empty, enables the gateway placement journal
-	// (internal/journal) rooted at that directory: placement epochs and
-	// terminal observations are logged so a gateway restart doesn't orphan
-	// in-flight failovers. Empty disables it.
-	JournalDir string `json:"journal_dir,omitempty"`
-	// JournalFsync picks the journal fsync policy (always, interval, none).
-	JournalFsync string `json:"journal_fsync,omitempty"`
-	// JournalSegmentBytes is the segment-rotation threshold.
-	JournalSegmentBytes int64 `json:"journal_segment_bytes,omitempty"`
-	// JournalFsyncInterval is the group-commit window under "interval".
-	JournalFsyncInterval time.Duration `json:"journal_fsync_interval_ns,omitempty"`
 }
 
 // DefaultMesh returns the taskmeshd defaults.
 func DefaultMesh() Mesh {
 	return Mesh{
-		Addr:                 ":8090",
-		HeartbeatInterval:    250 * time.Millisecond,
-		DownAfter:            3,
-		RoutePolicy:          MeshPolicyLeastIdleRate,
-		MaxSubmitAttempts:    8,
-		MaxBatchJobs:         256,
-		MaxBackoff:           time.Second,
-		HedgeDelay:           2 * time.Second,
-		FlowFloor:            1,
-		RequestTimeout:       5 * time.Second,
-		ControlMode:          string(policyengine.ModeActuate),
-		TelemetryInterval:    250 * time.Millisecond,
-		TelemetryRing:        600,
-		WatchdogWindow:       5 * time.Second,
-		JournalFsync:         "interval",
-		JournalSegmentBytes:  4 << 20,
-		JournalFsyncInterval: 2 * time.Millisecond,
+		Common:            defaultCommon(":8090"),
+		HeartbeatInterval: 250 * time.Millisecond,
+		DownAfter:         3,
+		RoutePolicy:       MeshPolicyLeastIdleRate,
+		MaxSubmitAttempts: 8,
+		MaxBackoff:        time.Second,
+		HedgeDelay:        2 * time.Second,
+		FlowFloor:         1,
+		RequestTimeout:    5 * time.Second,
 	}
 }
 
 // Validate reports the first problem with the configuration, or nil.
 func (m *Mesh) Validate() error {
+	if err := m.Common.validate(); err != nil {
+		return err
+	}
 	switch {
-	case m.Addr == "":
-		return fmt.Errorf("config: mesh addr is empty")
 	case len(m.Nodes) == 0:
 		return fmt.Errorf("config: mesh has no seed nodes")
 	case m.HeartbeatInterval <= 0:
@@ -127,8 +88,6 @@ func (m *Mesh) Validate() error {
 		return fmt.Errorf("config: down_after = %d", m.DownAfter)
 	case m.MaxSubmitAttempts < 1:
 		return fmt.Errorf("config: max_submit_attempts = %d", m.MaxSubmitAttempts)
-	case m.MaxBatchJobs < 1:
-		return fmt.Errorf("config: max_batch_jobs = %d", m.MaxBatchJobs)
 	case m.MaxBackoff <= 0:
 		return fmt.Errorf("config: max_backoff = %v", m.MaxBackoff)
 	case m.HedgeDelay < 0:
@@ -137,22 +96,6 @@ func (m *Mesh) Validate() error {
 		return fmt.Errorf("config: flow_floor = %v", m.FlowFloor)
 	case m.RequestTimeout <= 0:
 		return fmt.Errorf("config: request_timeout = %v", m.RequestTimeout)
-	case m.TelemetryInterval <= 0:
-		return fmt.Errorf("config: telemetry_interval = %v", m.TelemetryInterval)
-	case m.TelemetryRing < 2:
-		return fmt.Errorf("config: telemetry_ring = %d (need at least 2 samples for interval queries)", m.TelemetryRing)
-	case m.WatchdogWindow <= 0:
-		return fmt.Errorf("config: watchdog_window = %v", m.WatchdogWindow)
-	case m.JournalSegmentBytes < 1024:
-		return fmt.Errorf("config: journal_segment_bytes = %d (need at least 1KiB)", m.JournalSegmentBytes)
-	case m.JournalFsyncInterval <= 0:
-		return fmt.Errorf("config: journal_fsync_interval = %v", m.JournalFsyncInterval)
-	}
-	if _, err := journal.ParseFsyncPolicy(m.journalFsyncName()); err != nil {
-		return fmt.Errorf("config: journal_fsync: %w", err)
-	}
-	if _, err := policyengine.ParseMode(m.ControlMode); err != nil {
-		return fmt.Errorf("config: %w", err)
 	}
 	for _, n := range m.Nodes {
 		if strings.TrimSpace(n) == "" {
@@ -168,121 +111,12 @@ func (m *Mesh) Validate() error {
 		m.RoutePolicy, strings.Join(MeshPolicies, ", "))
 }
 
-func (m *Mesh) journalFsyncName() string {
-	if m.JournalFsync == "" {
-		return "interval"
-	}
-	return m.JournalFsync
-}
-
-// JournalFsyncPolicy returns the parsed fsync policy.
-func (m *Mesh) JournalFsyncPolicy() (journal.FsyncPolicy, error) {
-	return journal.ParseFsyncPolicy(m.journalFsyncName())
-}
-
-func (m *Mesh) controlModeName() string {
-	if m.ControlMode == "" {
-		return string(policyengine.ModeActuate)
-	}
-	return m.ControlMode
-}
-
-// ControlModeKind returns the parsed control-plane mode.
-func (m *Mesh) ControlModeKind() (policyengine.Mode, error) {
-	return policyengine.ParseMode(m.ControlMode)
-}
-
 // ApplyEnv overlays TASKMESHD_* environment variables onto the
-// configuration. lookup is os.LookupEnv in production; injected for tests.
-// TASKMESHD_NODES is a comma-separated URL list.
+// configuration, one per JSON key (see applyEnv); TASKMESHD_NODES is a
+// comma-separated URL list. lookup is os.LookupEnv in production; injected
+// for tests.
 func (m *Mesh) ApplyEnv(lookup func(string) (string, bool)) error {
-	if lookup == nil {
-		lookup = os.LookupEnv
-	}
-	if v, ok := lookup("TASKMESHD_ADDR"); ok {
-		m.Addr = v
-	}
-	if v, ok := lookup("TASKMESHD_NODES"); ok {
-		m.Nodes = SplitNodes(v)
-	}
-	if v, ok := lookup("TASKMESHD_ROUTE_POLICY"); ok {
-		m.RoutePolicy = v
-	}
-	if v, ok := lookup("TASKMESHD_CONTROL_MODE"); ok {
-		m.ControlMode = v
-	}
-	if v, ok := lookup("TASKMESHD_DOWN_AFTER"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_DOWN_AFTER=%q: %w", v, err)
-		}
-		m.DownAfter = n
-	}
-	if v, ok := lookup("TASKMESHD_MAX_SUBMIT_ATTEMPTS"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_MAX_SUBMIT_ATTEMPTS=%q: %w", v, err)
-		}
-		m.MaxSubmitAttempts = n
-	}
-	if v, ok := lookup("TASKMESHD_MAX_BATCH_JOBS"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_MAX_BATCH_JOBS=%q: %w", v, err)
-		}
-		m.MaxBatchJobs = n
-	}
-	if v, ok := lookup("TASKMESHD_TELEMETRY_RING"); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_TELEMETRY_RING=%q: %w", v, err)
-		}
-		m.TelemetryRing = n
-	}
-	if v, ok := lookup("TASKMESHD_JOURNAL_DIR"); ok {
-		m.JournalDir = v
-	}
-	if v, ok := lookup("TASKMESHD_JOURNAL_FSYNC"); ok {
-		m.JournalFsync = v
-	}
-	if v, ok := lookup("TASKMESHD_JOURNAL_SEGMENT_BYTES"); ok {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_JOURNAL_SEGMENT_BYTES=%q: %w", v, err)
-		}
-		m.JournalSegmentBytes = n
-	}
-	if v, ok := lookup("TASKMESHD_FLOW_FLOOR"); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("config: TASKMESHD_FLOW_FLOOR=%q: %w", v, err)
-		}
-		m.FlowFloor = f
-	}
-	durs := []struct {
-		key string
-		dst *time.Duration
-	}{
-		{"TASKMESHD_HEARTBEAT_INTERVAL", &m.HeartbeatInterval},
-		{"TASKMESHD_MAX_BACKOFF", &m.MaxBackoff},
-		{"TASKMESHD_HEDGE_DELAY", &m.HedgeDelay},
-		{"TASKMESHD_REQUEST_TIMEOUT", &m.RequestTimeout},
-		{"TASKMESHD_TELEMETRY_INTERVAL", &m.TelemetryInterval},
-		{"TASKMESHD_WATCHDOG_WINDOW", &m.WatchdogWindow},
-		{"TASKMESHD_JOURNAL_FSYNC_INTERVAL", &m.JournalFsyncInterval},
-	}
-	for _, e := range durs {
-		v, ok := lookup(e.key)
-		if !ok {
-			continue
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", e.key, v, err)
-		}
-		*e.dst = d
-	}
-	return nil
+	return applyEnv("TASKMESHD_", m, lookup)
 }
 
 // nodeList adapts the comma-separated -nodes flag to the Nodes slice.
@@ -315,26 +149,17 @@ func SplitNodes(v string) []string {
 // Flags registers command-line flags bound to the configuration fields, so
 // flag parsing (highest precedence) overwrites file and environment values.
 func (m *Mesh) Flags(fs *flag.FlagSet) {
-	fs.StringVar(&m.Addr, "addr", m.Addr, "gateway HTTP listen address")
+	m.Common.flags(fs)
 	fs.Var(nodeList{&m.Nodes}, "nodes", "comma-separated taskgraind base URLs")
 	fs.DurationVar(&m.HeartbeatInterval, "heartbeat-interval", m.HeartbeatInterval, "per-node health-poll period")
 	fs.IntVar(&m.DownAfter, "down-after", m.DownAfter, "consecutive heartbeat failures before a node is down")
 	fs.StringVar(&m.RoutePolicy, "route-policy", m.RoutePolicy,
 		"routing policy ("+strings.Join(MeshPolicies, ", ")+")")
 	fs.IntVar(&m.MaxSubmitAttempts, "max-submit-attempts", m.MaxSubmitAttempts, "node tries per submission before the gateway sheds")
-	fs.IntVar(&m.MaxBatchJobs, "max-batch-jobs", m.MaxBatchJobs, "largest accepted batch submission (specs per POST /v1/jobs/batch)")
 	fs.DurationVar(&m.MaxBackoff, "max-backoff", m.MaxBackoff, "cap on honouring Retry-After between spillover passes")
 	fs.DurationVar(&m.HedgeDelay, "hedge-delay", m.HedgeDelay, "status long-poll hedge delay (0 disables)")
 	fs.Float64Var(&m.FlowFloor, "flow-floor", m.FlowFloor, "inflight-task floor below which a node reads as empty")
 	fs.DurationVar(&m.RequestTimeout, "request-timeout", m.RequestTimeout, "per forwarded request ceiling")
-	fs.StringVar(&m.ControlMode, "control-mode", m.controlModeName(), "control plane mode (advisory, actuate)")
-	fs.DurationVar(&m.TelemetryInterval, "telemetry-interval", m.TelemetryInterval, "telemetry ring sampling period")
-	fs.IntVar(&m.TelemetryRing, "telemetry-ring", m.TelemetryRing, "telemetry ring capacity (samples)")
-	fs.DurationVar(&m.WatchdogWindow, "watchdog-window", m.WatchdogWindow, "per-node idle-rate watchdog sliding window")
-	fs.StringVar(&m.JournalDir, "journal-dir", m.JournalDir, "placement journal directory (empty disables durability)")
-	fs.StringVar(&m.JournalFsync, "journal-fsync", m.journalFsyncName(), "journal fsync policy (always, interval, none)")
-	fs.Int64Var(&m.JournalSegmentBytes, "journal-segment-bytes", m.JournalSegmentBytes, "journal segment rotation size")
-	fs.DurationVar(&m.JournalFsyncInterval, "journal-fsync-interval", m.JournalFsyncInterval, "group-commit window under the interval policy")
 }
 
 // LoadMesh decodes a mesh configuration from JSON over the defaults,

@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"taskgrain/internal/journal"
-	"taskgrain/internal/policyengine"
 	"taskgrain/internal/taskrt"
 )
 
@@ -34,8 +31,8 @@ var JournalRecoveryPolicies = []string{JournalRecoveryRequeue, JournalRecoveryFa
 // (LoadServer), environment variables (ApplyEnv, TASKGRAIND_* keys), and
 // command-line flags (Flags).
 type Server struct {
-	// Addr is the HTTP listen address.
-	Addr string `json:"addr"`
+	Common
+
 	// Workers is the runtime worker count (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Policy is the scheduling policy name (default priority-local-fifo).
@@ -49,9 +46,6 @@ type Server struct {
 	// MaxInflightTasks sheds submissions while the runtime backlog
 	// (staged+pending+active+suspended tasks) exceeds it.
 	MaxInflightTasks int64 `json:"max_inflight_tasks"`
-	// MaxBatchJobs bounds how many specs one POST /v1/jobs/batch may carry;
-	// larger batches are rejected with 400 before any admission work.
-	MaxBatchJobs int `json:"max_batch_jobs"`
 	// HighIdle is the idle-rate admission threshold (Eq. 1; the paper
 	// demonstrates ~0.30): intervals above it with real task flow mark the
 	// runtime overhead-bound and shed new work.
@@ -66,42 +60,11 @@ type Server struct {
 	// SampleInterval is the policy-engine sampling period driving admission
 	// and adaptive grain selection.
 	SampleInterval time.Duration `json:"sample_interval_ns"`
-	// ControlMode selects whether the control plane actuates its decisions
-	// ("actuate", the default) or only records them ("advisory" — the
-	// pre-control-plane alert-only behaviour).
-	ControlMode string `json:"control_mode,omitempty"`
 	// MaxJobSize rejects single jobs larger than this many points (400).
 	MaxJobSize int `json:"max_job_size"`
 	// DefaultDeadline bounds jobs that do not set one (0 = none).
 	DefaultDeadline time.Duration `json:"default_deadline_ns,omitempty"`
 
-	// TelemetryInterval is the counter-sampling period of the telemetry
-	// ring (time-series history behind /metrics, /telemetry/* and the
-	// watchdog).
-	TelemetryInterval time.Duration `json:"telemetry_interval_ns"`
-	// TelemetryRing is the ring capacity in samples (history length =
-	// TelemetryInterval × TelemetryRing).
-	TelemetryRing int `json:"telemetry_ring"`
-	// WatchdogWindow is the sliding window the idle-rate must stay above
-	// HighIdle for before the watchdog raises a /telemetry/alerts
-	// condition.
-	WatchdogWindow time.Duration `json:"watchdog_window_ns"`
-
-	// JournalDir, when non-empty, enables the write-ahead job journal
-	// (internal/journal) rooted at that directory: every lifecycle
-	// transition is logged and replayed on boot so admitted jobs survive a
-	// crash. Empty disables durability entirely.
-	JournalDir string `json:"journal_dir,omitempty"`
-	// JournalFsync picks the fsync policy: "always" (one fsync per record),
-	// "interval" (group commit batching on JournalFsyncInterval), or "none"
-	// (OS page cache only).
-	JournalFsync string `json:"journal_fsync,omitempty"`
-	// JournalSegmentBytes is the segment-rotation threshold.
-	JournalSegmentBytes int64 `json:"journal_segment_bytes,omitempty"`
-	// JournalFsyncInterval is the group-commit window under the "interval"
-	// policy — the durability analogue of grain size: all records appended
-	// within one window share a single fsync.
-	JournalFsyncInterval time.Duration `json:"journal_fsync_interval_ns,omitempty"`
 	// JournalRecovery decides what happens to journaled jobs recovered
 	// non-terminal after a restart: "requeue" re-runs them, "fail" marks
 	// them lost-on-crash.
@@ -122,34 +85,27 @@ type Server struct {
 // DefaultServer returns the taskgraind defaults.
 func DefaultServer() Server {
 	return Server{
-		Addr:                 ":8080",
-		Policy:               "priority-local-fifo",
-		MaxQueuedJobs:        64,
-		MaxConcurrentJobs:    4,
-		MaxInflightTasks:     100_000,
-		MaxBatchJobs:         256,
-		HighIdle:             0.30,
-		ShedMinTasks:         256,
-		RetryAfter:           time.Second,
-		SampleInterval:       50 * time.Millisecond,
-		ControlMode:          string(policyengine.ModeActuate),
-		MaxJobSize:           50_000_000,
-		JournalFsync:         "interval",
-		JournalSegmentBytes:  4 << 20,
-		JournalFsyncInterval: 2 * time.Millisecond,
-		JournalRecovery:      JournalRecoveryRequeue,
-		TerminalTTL:          10 * time.Minute,
-		TelemetryInterval:    250 * time.Millisecond,
-		TelemetryRing:        600,
-		WatchdogWindow:       5 * time.Second,
+		Common:            defaultCommon(":8080"),
+		Policy:            "priority-local-fifo",
+		MaxQueuedJobs:     64,
+		MaxConcurrentJobs: 4,
+		MaxInflightTasks:  100_000,
+		HighIdle:          0.30,
+		ShedMinTasks:      256,
+		RetryAfter:        time.Second,
+		SampleInterval:    50 * time.Millisecond,
+		MaxJobSize:        50_000_000,
+		JournalRecovery:   JournalRecoveryRequeue,
+		TerminalTTL:       10 * time.Minute,
 	}
 }
 
 // Validate reports the first problem with the configuration, or nil.
 func (s *Server) Validate() error {
+	if err := s.Common.validate(); err != nil {
+		return err
+	}
 	switch {
-	case s.Addr == "":
-		return fmt.Errorf("config: server addr is empty")
 	case s.Workers < 0:
 		return fmt.Errorf("config: server workers = %d", s.Workers)
 	case s.MaxQueuedJobs < 1:
@@ -158,8 +114,6 @@ func (s *Server) Validate() error {
 		return fmt.Errorf("config: max_concurrent_jobs = %d", s.MaxConcurrentJobs)
 	case s.MaxInflightTasks < 1:
 		return fmt.Errorf("config: max_inflight_tasks = %d", s.MaxInflightTasks)
-	case s.MaxBatchJobs < 1:
-		return fmt.Errorf("config: max_batch_jobs = %d", s.MaxBatchJobs)
 	case s.HighIdle <= 0 || s.HighIdle >= 1:
 		return fmt.Errorf("config: high_idle = %v not in (0,1)", s.HighIdle)
 	case s.ShedMinTasks < 0:
@@ -172,21 +126,8 @@ func (s *Server) Validate() error {
 		return fmt.Errorf("config: max_job_size = %d", s.MaxJobSize)
 	case s.DefaultDeadline < 0:
 		return fmt.Errorf("config: default_deadline = %v", s.DefaultDeadline)
-	case s.TelemetryInterval <= 0:
-		return fmt.Errorf("config: telemetry_interval = %v", s.TelemetryInterval)
-	case s.TelemetryRing < 2:
-		return fmt.Errorf("config: telemetry_ring = %d (need at least 2 samples for interval queries)", s.TelemetryRing)
-	case s.WatchdogWindow <= 0:
-		return fmt.Errorf("config: watchdog_window = %v", s.WatchdogWindow)
-	case s.JournalSegmentBytes < 1024:
-		return fmt.Errorf("config: journal_segment_bytes = %d (need at least 1KiB)", s.JournalSegmentBytes)
-	case s.JournalFsyncInterval <= 0:
-		return fmt.Errorf("config: journal_fsync_interval = %v", s.JournalFsyncInterval)
 	case s.TerminalTTL < 0:
 		return fmt.Errorf("config: terminal_ttl = %v", s.TerminalTTL)
-	}
-	if _, err := journal.ParseFsyncPolicy(s.journalFsyncName()); err != nil {
-		return fmt.Errorf("config: journal_fsync: %w", err)
 	}
 	switch s.journalRecoveryName() {
 	case JournalRecoveryRequeue, JournalRecoveryFail:
@@ -197,29 +138,7 @@ func (s *Server) Validate() error {
 	if _, err := taskrt.ParsePolicy(s.policyName()); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if _, err := policyengine.ParseMode(s.ControlMode); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
 	return nil
-}
-
-func (s *Server) controlModeName() string {
-	if s.ControlMode == "" {
-		return string(policyengine.ModeActuate)
-	}
-	return s.ControlMode
-}
-
-// ControlModeKind returns the parsed control-plane mode.
-func (s *Server) ControlModeKind() (policyengine.Mode, error) {
-	return policyengine.ParseMode(s.ControlMode)
-}
-
-func (s *Server) journalFsyncName() string {
-	if s.JournalFsync == "" {
-		return "interval"
-	}
-	return s.JournalFsync
 }
 
 func (s *Server) journalRecoveryName() string {
@@ -227,11 +146,6 @@ func (s *Server) journalRecoveryName() string {
 		return JournalRecoveryRequeue
 	}
 	return s.JournalRecovery
-}
-
-// JournalFsyncPolicy returns the parsed fsync policy.
-func (s *Server) JournalFsyncPolicy() (journal.FsyncPolicy, error) {
-	return journal.ParseFsyncPolicy(s.journalFsyncName())
 }
 
 // RecoveryRequeues reports whether recovered non-terminal jobs re-queue
@@ -253,117 +167,27 @@ func (s *Server) PolicyKind() (taskrt.PolicyKind, error) {
 }
 
 // ApplyEnv overlays TASKGRAIND_* environment variables onto the
-// configuration. lookup is os.LookupEnv in production; injected for tests.
-// Durations accept Go syntax ("250ms"); unparsable values are errors rather
-// than silently ignored.
+// configuration, one per JSON key (see applyEnv). lookup is os.LookupEnv in
+// production; injected for tests.
 func (s *Server) ApplyEnv(lookup func(string) (string, bool)) error {
-	if lookup == nil {
-		lookup = os.LookupEnv
-	}
-	str := func(key string, dst *string) error {
-		if v, ok := lookup(key); ok {
-			*dst = v
-		}
-		return nil
-	}
-	num := func(key string, set func(int64)) error {
-		v, ok := lookup(key)
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", key, v, err)
-		}
-		set(n)
-		return nil
-	}
-	flt := func(key string, dst *float64) error {
-		v, ok := lookup(key)
-		if !ok {
-			return nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", key, v, err)
-		}
-		*dst = f
-		return nil
-	}
-	dur := func(key string, dst *time.Duration) error {
-		v, ok := lookup(key)
-		if !ok {
-			return nil
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("config: %s=%q: %w", key, v, err)
-		}
-		*dst = d
-		return nil
-	}
-	steps := []func() error{
-		func() error { return str("TASKGRAIND_ADDR", &s.Addr) },
-		func() error { return num("TASKGRAIND_WORKERS", func(n int64) { s.Workers = int(n) }) },
-		func() error { return str("TASKGRAIND_POLICY", &s.Policy) },
-		func() error { return num("TASKGRAIND_MAX_QUEUED_JOBS", func(n int64) { s.MaxQueuedJobs = int(n) }) },
-		func() error {
-			return num("TASKGRAIND_MAX_CONCURRENT_JOBS", func(n int64) { s.MaxConcurrentJobs = int(n) })
-		},
-		func() error { return num("TASKGRAIND_MAX_INFLIGHT_TASKS", func(n int64) { s.MaxInflightTasks = n }) },
-		func() error { return num("TASKGRAIND_MAX_BATCH_JOBS", func(n int64) { s.MaxBatchJobs = int(n) }) },
-		func() error { return flt("TASKGRAIND_HIGH_IDLE", &s.HighIdle) },
-		func() error { return flt("TASKGRAIND_SHED_MIN_TASKS", &s.ShedMinTasks) },
-		func() error { return dur("TASKGRAIND_RETRY_AFTER", &s.RetryAfter) },
-		func() error { return dur("TASKGRAIND_SAMPLE_INTERVAL", &s.SampleInterval) },
-		func() error { return str("TASKGRAIND_CONTROL_MODE", &s.ControlMode) },
-		func() error { return num("TASKGRAIND_MAX_JOB_SIZE", func(n int64) { s.MaxJobSize = int(n) }) },
-		func() error { return dur("TASKGRAIND_DEFAULT_DEADLINE", &s.DefaultDeadline) },
-		func() error { return dur("TASKGRAIND_TELEMETRY_INTERVAL", &s.TelemetryInterval) },
-		func() error { return num("TASKGRAIND_TELEMETRY_RING", func(n int64) { s.TelemetryRing = int(n) }) },
-		func() error { return dur("TASKGRAIND_WATCHDOG_WINDOW", &s.WatchdogWindow) },
-		func() error { return str("TASKGRAIND_JOURNAL_DIR", &s.JournalDir) },
-		func() error { return str("TASKGRAIND_JOURNAL_FSYNC", &s.JournalFsync) },
-		func() error {
-			return num("TASKGRAIND_JOURNAL_SEGMENT_BYTES", func(n int64) { s.JournalSegmentBytes = n })
-		},
-		func() error { return dur("TASKGRAIND_JOURNAL_FSYNC_INTERVAL", &s.JournalFsyncInterval) },
-		func() error { return str("TASKGRAIND_JOURNAL_RECOVERY", &s.JournalRecovery) },
-		func() error { return dur("TASKGRAIND_TERMINAL_TTL", &s.TerminalTTL) },
-		func() error { return num("TASKGRAIND_CHAOS_SEED", func(n int64) { s.ChaosSeed = n }) },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return applyEnv("TASKGRAIND_", s, lookup)
 }
 
 // Flags registers command-line flags bound to the configuration fields, so
 // flag parsing (highest precedence) overwrites file and environment values.
 func (s *Server) Flags(fs *flag.FlagSet) {
-	fs.StringVar(&s.Addr, "addr", s.Addr, "HTTP listen address")
+	s.Common.flags(fs)
 	fs.IntVar(&s.Workers, "workers", s.Workers, "runtime workers (0 = GOMAXPROCS)")
 	fs.StringVar(&s.Policy, "policy", s.policyName(), "scheduling policy")
 	fs.IntVar(&s.MaxQueuedJobs, "max-queued-jobs", s.MaxQueuedJobs, "admission bound on queued jobs")
 	fs.IntVar(&s.MaxConcurrentJobs, "max-concurrent-jobs", s.MaxConcurrentJobs, "jobs running concurrently")
 	fs.Int64Var(&s.MaxInflightTasks, "max-inflight-tasks", s.MaxInflightTasks, "admission bound on runtime task backlog")
-	fs.IntVar(&s.MaxBatchJobs, "max-batch-jobs", s.MaxBatchJobs, "largest accepted batch submission (specs per POST /v1/jobs/batch)")
 	fs.Float64Var(&s.HighIdle, "high-idle", s.HighIdle, "idle-rate shedding threshold (Eq. 1)")
 	fs.Float64Var(&s.ShedMinTasks, "shed-min-tasks", s.ShedMinTasks, "interval task floor before idle-rate sheds")
 	fs.DurationVar(&s.RetryAfter, "retry-after", s.RetryAfter, "Retry-After hint on shed responses")
 	fs.DurationVar(&s.SampleInterval, "sample-interval", s.SampleInterval, "policy-engine sampling period")
-	fs.StringVar(&s.ControlMode, "control-mode", s.controlModeName(), "control plane mode (advisory, actuate)")
 	fs.IntVar(&s.MaxJobSize, "max-job-size", s.MaxJobSize, "largest accepted job size (points)")
 	fs.DurationVar(&s.DefaultDeadline, "default-deadline", s.DefaultDeadline, "deadline for jobs that set none (0 = none)")
-	fs.DurationVar(&s.TelemetryInterval, "telemetry-interval", s.TelemetryInterval, "telemetry ring sampling period")
-	fs.IntVar(&s.TelemetryRing, "telemetry-ring", s.TelemetryRing, "telemetry ring capacity (samples)")
-	fs.DurationVar(&s.WatchdogWindow, "watchdog-window", s.WatchdogWindow, "idle-rate watchdog sliding window")
-	fs.StringVar(&s.JournalDir, "journal-dir", s.JournalDir, "write-ahead journal directory (empty disables durability)")
-	fs.StringVar(&s.JournalFsync, "journal-fsync", s.journalFsyncName(), "journal fsync policy (always, interval, none)")
-	fs.Int64Var(&s.JournalSegmentBytes, "journal-segment-bytes", s.JournalSegmentBytes, "journal segment rotation size")
-	fs.DurationVar(&s.JournalFsyncInterval, "journal-fsync-interval", s.JournalFsyncInterval, "group-commit window under the interval policy")
 	fs.StringVar(&s.JournalRecovery, "journal-recovery", s.journalRecoveryName(),
 		"recovered non-terminal job policy ("+strings.Join(JournalRecoveryPolicies, ", ")+")")
 	fs.DurationVar(&s.TerminalTTL, "terminal-ttl", s.TerminalTTL, "terminal job retention before TTL eviction (0 = count-bound only)")

@@ -323,15 +323,16 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Snapshot durably writes a full-state snapshot covering every record
-// appended so far, then deletes segments (and older snapshots) wholly below
-// it. Replay after a snapshot starts from its payload and applies only
-// records with greater LSNs, so replaying a record the snapshot already
-// includes must be idempotent for the caller.
-func (j *Journal) Snapshot(state []byte) error {
-	if len(state) > maxRecordBytes {
-		return fmt.Errorf("journal: snapshot size %d exceeds %d", len(state), maxRecordBytes)
-	}
+// Snapshot durably writes the full state capture returns, covering every
+// record appended so far, then deletes segments (and older snapshots) wholly
+// below it. capture runs under the journal lock, after the tail sync, so no
+// append lands between reading the state and stamping its LSN: a caller that
+// changes its state before appending the record for the change gets a
+// snapshot that is exactly the state at that LSN. capture must not append.
+// Replay after a snapshot starts from its payload and applies only records
+// with greater LSNs, so replaying a record the snapshot already includes
+// must be idempotent for the caller.
+func (j *Journal) Snapshot(capture func() ([]byte, error)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.killed.Load() {
@@ -345,6 +346,13 @@ func (j *Journal) Snapshot(state []byte) error {
 	// torn away beneath it.
 	if err := j.syncLocked(); err != nil {
 		return err
+	}
+	state, err := capture()
+	if err != nil {
+		return err
+	}
+	if len(state) > maxRecordBytes {
+		return fmt.Errorf("journal: snapshot size %d exceeds %d", len(state), maxRecordBytes)
 	}
 	cur := j.appended
 	if err := writeSnapshotFile(j.dir, cur, state); err != nil {

@@ -218,7 +218,7 @@ func TestSnapshotCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Snapshot([]byte("state@40")); err != nil {
+	if err := j.Snapshot(state("state@40")); err != nil {
 		t.Fatal(err)
 	}
 	if j.SnapshotLSN() != 40 {
@@ -258,13 +258,13 @@ func TestSnapshotSupersedesOlderSnapshot(t *testing.T) {
 	if _, err := j.Append([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Snapshot([]byte("s1")); err != nil {
+	if err := j.Snapshot(state("s1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.Append([]byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Snapshot([]byte("s2")); err != nil {
+	if err := j.Snapshot(state("s2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -355,7 +355,7 @@ func TestKillFreezesDurableState(t *testing.T) {
 	if err := j.Sync(); err != ErrKilled {
 		t.Fatalf("sync after Kill: err = %v, want ErrKilled", err)
 	}
-	if err := j.Snapshot([]byte("x")); err != ErrKilled {
+	if err := j.Snapshot(state("x")); err != ErrKilled {
 		t.Fatalf("snapshot after Kill: err = %v, want ErrKilled", err)
 	}
 	rec, err := Recover(dir)
@@ -416,4 +416,9 @@ func TestCorruptSealedSegmentIsHardError(t *testing.T) {
 	if _, err := Recover(dir); err == nil {
 		t.Fatal("Recover accepted a corrupt sealed segment")
 	}
+}
+
+// state is a snapshot capture that returns a fixed payload.
+func state(s string) func() ([]byte, error) {
+	return func() ([]byte, error) { return []byte(s), nil }
 }

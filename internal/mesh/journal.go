@@ -1,15 +1,11 @@
 package mesh
 
 import (
-	"encoding/json"
-	"fmt"
-	"log"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"taskgrain/internal/counters"
 	"taskgrain/internal/journal"
 	"taskgrain/internal/wire"
 )
@@ -54,37 +50,35 @@ type meshSnapshot struct {
 	Jobs   []meshSnapJob `json:"jobs"`
 }
 
-// setupJournal recovers the placement journal into the mesh store and opens
-// it for appending. Recovered non-terminal jobs keep their last placement:
-// the next client poll relays to that node (whose own journal preserved the
-// node-local ID), and the normal failover path re-places the job if the node
-// is really gone — so a gateway restart doesn't orphan in-flight failovers.
-func (m *Mesh) setupJournal() error {
-	rec, err := journal.Recover(m.cfg.JournalDir)
+// openJournal recovers the placement journal into the mesh store through
+// the ledger and opens it for appending. Recovered non-terminal jobs keep
+// their last placement: the next client poll relays to that node (whose own
+// journal preserved the node-local ID), and the normal failover path
+// re-places the job if the node is really gone — so a gateway restart
+// doesn't orphan in-flight failovers.
+func (m *Mesh) openJournal() error {
+	wal, err := journal.OpenLedger(m.cfg.JournalDir, m.cfg.JournalOptions(), m.reg, journal.Tier[meshWalRecord, meshSnapshot]{
+		Name:    "mesh",
+		Replay:  m.replay,
+		Capture: m.journalCapture,
+	})
 	if err != nil {
-		return fmt.Errorf("mesh: journal recovery: %w", err)
+		return err
 	}
+	m.wal = wal
+	return nil
+}
 
+// replay folds the snapshot and the records after it into the mesh store.
+func (m *Mesh) replay(snap meshSnapshot, recs []meshWalRecord) (int, error) {
 	// The replay accumulator per job is its snapshot form.
 	byID := make(map[string]*meshSnapJob)
 	var order []string
-	var snapNextID uint64
-	if rec.Snapshot != nil {
-		var snap meshSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("mesh: journal snapshot: %w", err)
-		}
-		snapNextID = snap.NextID
-		for i := range snap.Jobs {
-			byID[snap.Jobs[i].ID] = &snap.Jobs[i]
-			order = append(order, snap.Jobs[i].ID)
-		}
+	for i := range snap.Jobs {
+		byID[snap.Jobs[i].ID] = &snap.Jobs[i]
+		order = append(order, snap.Jobs[i].ID)
 	}
-	for _, r := range rec.Records {
-		var w meshWalRecord
-		if err := json.Unmarshal(r.Payload, &w); err != nil {
-			return fmt.Errorf("mesh: journal record at LSN %d: %w", r.LSN, err)
-		}
+	for _, w := range recs {
 		switch w.T {
 		case meshWalPlace:
 			rj, ok := byID[w.ID]
@@ -147,65 +141,12 @@ func (m *Mesh) setupJournal() error {
 	for _, j := range jobs {
 		m.jobs.restore(j)
 	}
-	if snapNextID > 0 {
-		m.jobs.mu.Lock()
-		if snapNextID > m.jobs.nextID {
-			m.jobs.nextID = snapNextID
-		}
-		m.jobs.mu.Unlock()
+	m.jobs.mu.Lock()
+	if snap.NextID > m.jobs.nextID {
+		m.jobs.nextID = snap.NextID
 	}
-
-	pol, err := m.cfg.JournalFsyncPolicy()
-	if err != nil {
-		return err
-	}
-	w, err := journal.Open(m.cfg.JournalDir, journal.Options{
-		SegmentBytes:  m.cfg.JournalSegmentBytes,
-		Fsync:         pol,
-		FsyncInterval: m.cfg.JournalFsyncInterval,
-	})
-	if err != nil {
-		return fmt.Errorf("mesh: journal open: %w", err)
-	}
-	m.wal = w
-	m.recoveredC.Add(int64(len(order)))
-	m.tornC.Add(int64(rec.TornTruncations))
-	if n := len(order); n > 0 || rec.TornTruncations > 0 {
-		log.Printf("mesh: journal recovered %d jobs (%d torn-tail truncations)", n, rec.TornTruncations)
-	}
-	return nil
-}
-
-// registerJournalCounters exposes the gateway journal on /mesh/metrics.
-func (m *Mesh) registerJournalCounters() {
-	m.recoveredC = counters.NewCumulative("/journal/recovered-jobs")
-	m.tornC = counters.NewCumulative("/journal/torn-tail-truncations")
-	m.reg.MustRegister(m.recoveredC)
-	m.reg.MustRegister(m.tornC)
-	m.reg.MustRegister(counters.NewDerived("/journal/appends", func() float64 {
-		return float64(m.wal.Appends())
-	}))
-	m.reg.MustRegister(counters.NewDerived("/journal/fsyncs", func() float64 {
-		return float64(m.wal.Fsyncs())
-	}))
-	m.reg.MustRegister(counters.NewDerived("/journal/group-commit-size", func() float64 {
-		return float64(m.wal.LastGroupSize())
-	}))
-}
-
-// journalAppend marshals and appends one gateway record, best-effort: a
-// failed append costs replay fidelity after the *next* restart, never a live
-// request.
-func (m *Mesh) journalAppend(rec meshWalRecord) {
-	b, err := json.Marshal(rec)
-	if err == nil {
-		m.walMu.RLock()
-		_, err = m.wal.Append(b)
-		m.walMu.RUnlock()
-	}
-	if err != nil && err != journal.ErrKilled {
-		log.Printf("mesh: journal %s %s: %v", rec.T, rec.ID, err)
-	}
+	m.jobs.mu.Unlock()
+	return len(order), nil
 }
 
 // journalPlace records a successful placement epoch.
@@ -219,7 +160,7 @@ func (m *Mesh) journalPlace(job *meshJob) {
 		rec.Node = job.node.name
 	}
 	job.mu.Unlock()
-	m.journalAppend(rec)
+	m.wal.Note(rec)
 }
 
 // journalTerm records the first observed terminal state.
@@ -227,15 +168,17 @@ func (m *Mesh) journalTerm(job *meshJob) {
 	job.mu.Lock()
 	rec := meshWalRecord{T: meshWalTerm, ID: job.id, State: job.state}
 	job.mu.Unlock()
-	m.journalAppend(rec)
+	m.wal.Note(rec)
 }
 
 // journalCompact writes a full-store snapshot so the journal forgets what
-// the store forgot (stale-reaped and count-evicted jobs). Terminal jobs carry
-// no spec: it was released when they turned terminal.
-func (m *Mesh) journalCompact() {
-	m.walMu.Lock()
-	defer m.walMu.Unlock()
+// the store forgot (stale-reaped and count-evicted jobs).
+func (m *Mesh) journalCompact() { m.wal.Compact() }
+
+// journalCapture is the ledger's state capture: the whole store, under the
+// journal lock. Terminal jobs carry no spec: it was released when they
+// turned terminal.
+func (m *Mesh) journalCapture() meshSnapshot {
 	jobs := m.jobs.list()
 	m.jobs.mu.Lock()
 	nextID := m.jobs.nextID
@@ -253,12 +196,5 @@ func (m *Mesh) journalCompact() {
 		j.mu.Unlock()
 		snap.Jobs = append(snap.Jobs, sj)
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		log.Printf("mesh: journal snapshot marshal: %v", err)
-		return
-	}
-	if err := m.wal.Snapshot(b); err != nil && err != journal.ErrKilled {
-		log.Printf("mesh: journal snapshot: %v", err)
-	}
+	return snap
 }

@@ -51,7 +51,7 @@ func TestMeshJournalGatewayRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.recoveredC.Raw(); got < int64(len(ids)) {
+	if got := m2.wal.Recovered(); got < int64(len(ids)) {
 		t.Fatalf("/journal/recovered-jobs = %d, want ≥ %d", got, len(ids))
 	}
 	m2.Start()

@@ -101,15 +101,7 @@ type Mesh struct {
 	// wal journals placement epochs and terminal observations when
 	// cfg.JournalDir is set, so a restarted gateway still knows where every
 	// in-flight job lives instead of orphaning its failover state.
-	wal *journal.Journal
-	// walMu makes a compaction snapshot cover exactly the records it has
-	// seen: appends share it, journalCompact excludes them from reading the
-	// store until the snapshot is on disk. (An append follows the state
-	// change it records, so one that beat the compaction is in the snapshot.)
-	walMu      sync.RWMutex
-	recoveredC *counters.Cumulative
-	tornC      *counters.Cumulative
-	walFinal   sync.Once
+	wal *journal.Ledger[meshWalRecord, meshSnapshot]
 
 	// tracer records every routing hop (Route/SpillHop/FailoverHop) on the
 	// target node's lane, plus a phase span per placement, so one job's
@@ -204,8 +196,7 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 	m.nodes.OnJoin(m.pushGrainHint)
 	m.router = newRouter(m.nodes, policy, cfg.FlowFloor)
 	if cfg.JournalDir != "" {
-		m.registerJournalCounters()
-		if err := m.setupJournal(); err != nil {
+		if err := m.openJournal(); err != nil {
 			m.nodes.Stop()
 			return nil, err
 		}
@@ -305,11 +296,8 @@ func (m *Mesh) Stop() {
 	m.reaperWG.Wait()
 	m.sampler.Stop()
 	m.nodes.Stop()
-	if m.wal != nil && !m.wal.Killed() {
-		m.walFinal.Do(func() {
-			m.journalCompact()
-			m.wal.Close()
-		})
+	if m.wal != nil {
+		m.wal.Close()
 	}
 }
 

@@ -1,8 +1,6 @@
 package taskserve
 
 import (
-	"encoding/json"
-	"fmt"
 	"log"
 	"time"
 
@@ -54,36 +52,44 @@ type walSnapshot struct {
 	Jobs   []walSnapJob `json:"jobs"`
 }
 
-// setupJournal recovers the journal directory into the job store, re-queues
-// or fails non-terminal survivors per the recovery policy, opens the journal
-// for appending, and registers the /journal/* counters. Called from New
-// before Start, so replayed jobs sit in the queue until the runners launch.
-func (s *Server) setupJournal() error {
-	rec, err := journal.Recover(s.cfg.JournalDir)
+// openJournal recovers the journal directory into the job store through
+// the ledger, re-queuing or failing non-terminal survivors per the recovery
+// policy, and opens it for appending. Called from New before Start, so
+// replayed jobs sit in the queue until the runners launch.
+func (s *Server) openJournal(reg *counters.Registry) error {
+	var verdicts []*Job // lost-on-crash verdicts the recovery policy reached
+	wal, err := journal.OpenLedger(s.cfg.JournalDir, s.cfg.JournalOptions(), reg, journal.Tier[walRecord, walSnapshot]{
+		Name: "taskserve",
+		Replay: func(snap walSnapshot, recs []walRecord) (restored int, err error) {
+			restored, verdicts = s.replay(snap, recs)
+			return restored, nil
+		},
+		Capture: s.journalCapture,
+	})
 	if err != nil {
-		return fmt.Errorf("taskserve: journal recovery: %w", err)
+		return err
 	}
+	s.wal = wal
+	// Journaled lost-on-crash verdicts must outlive the next restart; the
+	// requeued jobs stay non-terminal on purpose (they will run again).
+	for _, j := range verdicts {
+		s.journalTerm(j)
+	}
+	return nil
+}
 
+// replay folds the snapshot and the records after it into the job store. It
+// returns how many jobs it restored and which of them recovery turned into
+// lost-on-crash failures.
+func (s *Server) replay(snap walSnapshot, recs []walRecord) (restored int, verdicts []*Job) {
 	// The replay accumulator per job is its snapshot form.
 	byID := make(map[string]*walSnapJob)
 	var order []string
-	var snapNextID uint64
-	if rec.Snapshot != nil {
-		var snap walSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("taskserve: journal snapshot: %w", err)
-		}
-		snapNextID = snap.NextID
-		for i := range snap.Jobs {
-			byID[snap.Jobs[i].ID] = &snap.Jobs[i]
-			order = append(order, snap.Jobs[i].ID)
-		}
+	for i := range snap.Jobs {
+		byID[snap.Jobs[i].ID] = &snap.Jobs[i]
+		order = append(order, snap.Jobs[i].ID)
 	}
-	for _, r := range rec.Records {
-		var w walRecord
-		if err := json.Unmarshal(r.Payload, &w); err != nil {
-			return fmt.Errorf("taskserve: journal record at LSN %d: %w", r.LSN, err)
-		}
+	for _, w := range recs {
 		switch w.T {
 		case walAdmit:
 			if _, ok := byID[w.ID]; !ok && w.Spec != nil {
@@ -107,7 +113,7 @@ func (s *Server) setupJournal() error {
 		}
 	}
 
-	requeued, lost := 0, 0
+	requeued := 0
 	for _, id := range order {
 		rj, ok := byID[id]
 		if !ok { // dropped
@@ -136,86 +142,23 @@ func (s *Server) setupJournal() error {
 				// resurrecting more work than the daemon admits.
 				job.requestAbort("lost-on-crash: recovery queue overflow", JobFailed)
 				job.terminalLogged.Store(true)
-				lost++
 			}
-		} else if !rj.State.Terminal() {
-			lost++
+		}
+		if !rj.State.Terminal() && job.State().Terminal() {
+			verdicts = append(verdicts, job)
 		}
 		s.store.restore(job)
+		restored++
 	}
-	if snapNextID > 0 {
-		s.store.mu.Lock()
-		if snapNextID > s.store.nextID {
-			s.store.nextID = snapNextID
-		}
-		s.store.mu.Unlock()
+	s.store.mu.Lock()
+	if snap.NextID > s.store.nextID {
+		s.store.nextID = snap.NextID
 	}
-
-	pol, err := s.cfg.JournalFsyncPolicy()
-	if err != nil {
-		return err
+	s.store.mu.Unlock()
+	if requeued > 0 || len(verdicts) > 0 {
+		log.Printf("taskserve: journal recovery requeued %d jobs, %d lost-on-crash", requeued, len(verdicts))
 	}
-	w, err := journal.Open(s.cfg.JournalDir, journal.Options{
-		SegmentBytes:  s.cfg.JournalSegmentBytes,
-		Fsync:         pol,
-		FsyncInterval: s.cfg.JournalFsyncInterval,
-	})
-	if err != nil {
-		return fmt.Errorf("taskserve: journal open: %w", err)
-	}
-	s.wal = w
-
-	// Journaled lost-on-crash verdicts must outlive the next restart; the
-	// requeued jobs stay non-terminal on purpose (they will run again).
-	for _, id := range order {
-		if j, ok := s.store.get(id); ok && j.State().Terminal() {
-			if rj := byID[id]; rj != nil && !rj.State.Terminal() {
-				s.journalTerm(j)
-			}
-		}
-	}
-
-	s.recoveredC.Add(int64(len(order)))
-	s.tornC.Add(int64(rec.TornTruncations))
-	if n := len(order); n > 0 || rec.TornTruncations > 0 {
-		log.Printf("taskserve: journal recovered %d jobs (%d requeued, %d lost-on-crash, %d torn-tail truncations)",
-			n, requeued, lost, rec.TornTruncations)
-	}
-	return nil
-}
-
-// registerJournalCounters exposes the journal on the same registry as every
-// other counter, so /metrics scrapes durability next to the idle-rate.
-func (s *Server) registerJournalCounters(reg *counters.Registry) {
-	s.recoveredC = counters.NewCumulative("/journal/recovered-jobs")
-	s.tornC = counters.NewCumulative("/journal/torn-tail-truncations")
-	reg.MustRegister(s.recoveredC)
-	reg.MustRegister(s.tornC)
-	reg.MustRegister(counters.NewDerived("/journal/appends", func() float64 {
-		return float64(s.wal.Appends())
-	}))
-	reg.MustRegister(counters.NewDerived("/journal/fsyncs", func() float64 {
-		return float64(s.wal.Fsyncs())
-	}))
-	reg.MustRegister(counters.NewDerived("/journal/group-commit-size", func() float64 {
-		return float64(s.wal.LastGroupSize())
-	}))
-	reg.MustRegister(counters.NewDerived("/journal/appends-batched", func() float64 {
-		return float64(s.wal.AppendsBatched())
-	}))
-}
-
-// journalAppend marshals and appends one record. Callers on the admission
-// path treat an error as "durability unavailable" and refuse the job; the
-// rest are best-effort (a lost start/term record only widens the replay
-// window, it never loses an acknowledged job).
-func (s *Server) journalAppend(rec walRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.wal.Append(b)
-	return err
+	return restored, verdicts
 }
 
 // journalAdmitBatch persists a batch of admissions (a single submit is a
@@ -224,51 +167,37 @@ func (s *Server) journalAppend(rec walRecord) error {
 // cost of N admitted jobs is one group commit. It must succeed before any of
 // the batch's 202s go out.
 func (s *Server) journalAdmitBatch(jobs []*Job) error {
-	payloads := make([][]byte, 0, len(jobs))
-	for _, job := range jobs {
+	recs := make([]walRecord, len(jobs))
+	for i, job := range jobs {
 		spec, deadline, _, _, _ := job.journalState()
-		var dl int64
-		if !deadline.IsZero() {
-			dl = deadline.UnixNano()
-		}
-		b, err := json.Marshal(walRecord{T: walAdmit, ID: job.ID(), Spec: &spec, Deadline: dl})
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, b)
+		recs[i] = walRecord{T: walAdmit, ID: job.ID(), Spec: &spec, Deadline: unixNano(deadline)}
 	}
-	_, err := s.wal.AppendBatch(payloads)
-	return err
+	return s.wal.AppendBatch(recs)
 }
 
 // journalDrop rescinds a journaled admission that never ran.
-func (s *Server) journalDrop(id string) {
-	if err := s.journalAppend(walRecord{T: walDrop, ID: id}); err != nil && err != journal.ErrKilled {
-		log.Printf("taskserve: journal drop %s: %v", id, err)
-	}
-}
+func (s *Server) journalDrop(id string) { s.wal.Note(walRecord{T: walDrop, ID: id}) }
 
 // journalStart records the queued→running transition.
 func (s *Server) journalStart(job *Job) {
 	_, _, _, _, grain := job.journalState()
-	if err := s.journalAppend(walRecord{T: walStart, ID: job.ID(), Grain: grain}); err != nil && err != journal.ErrKilled {
-		log.Printf("taskserve: journal start %s: %v", job.ID(), err)
-	}
+	s.wal.Note(walRecord{T: walStart, ID: job.ID(), Grain: grain})
 }
 
 // journalTerm records a job's terminal verdict.
 func (s *Server) journalTerm(job *Job) {
 	_, _, state, errMsg, _ := job.journalState()
-	if err := s.journalAppend(walRecord{T: walTerm, ID: job.ID(), State: state, Err: errMsg}); err != nil && err != journal.ErrKilled {
-		log.Printf("taskserve: journal term %s: %v", job.ID(), err)
-	}
+	s.wal.Note(walRecord{T: walTerm, ID: job.ID(), State: state, Err: errMsg})
 }
 
-// journalCompact writes a full-store snapshot, letting the journal delete
-// every segment wholly below it. Called after TTL eviction (so the journal
-// forgets what the store forgot) and on clean drain (so restart recovers to
-// an empty non-terminal set without replay).
-func (s *Server) journalCompact() {
+// journalCompact writes a full-store snapshot. Called after TTL eviction (so
+// the journal forgets what the store forgot) and on clean drain (so restart
+// recovers to an empty non-terminal set without replay).
+func (s *Server) journalCompact() { s.wal.Compact() }
+
+// journalCapture is the ledger's state capture: the whole store, under the
+// journal lock.
+func (s *Server) journalCapture() walSnapshot {
 	jobs := s.store.list()
 	s.store.mu.Lock()
 	nextID := s.store.nextID
@@ -276,22 +205,19 @@ func (s *Server) journalCompact() {
 	snap := walSnapshot{NextID: nextID, Jobs: make([]walSnapJob, 0, len(jobs))}
 	for _, j := range jobs {
 		spec, deadline, state, errMsg, grain := j.journalState()
-		var dl int64
-		if !deadline.IsZero() {
-			dl = deadline.UnixNano()
-		}
 		snap.Jobs = append(snap.Jobs, walSnapJob{
-			ID: j.ID(), Spec: spec, State: state, Err: errMsg, Grain: grain, Deadline: dl,
+			ID: j.ID(), Spec: spec, State: state, Err: errMsg, Grain: grain, Deadline: unixNano(deadline),
 		})
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		log.Printf("taskserve: journal snapshot marshal: %v", err)
-		return
+	return snap
+}
+
+// unixNano renders a deadline as journaled: unix ns, 0 for none.
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
 	}
-	if err := s.wal.Snapshot(b); err != nil && err != journal.ErrKilled {
-		log.Printf("taskserve: journal snapshot: %v", err)
-	}
+	return t.UnixNano()
 }
 
 // sweeper TTL-evicts terminal jobs and mirrors each eviction with a journal

@@ -1,6 +1,10 @@
 package taskserve
 
 import (
+	"fmt"
+	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +69,7 @@ func TestJournalCrashRestartRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if got := b.recoveredC.Raw(); got < int64(len(queued)) {
+	if got := b.wal.Recovered(); got < int64(len(queued)) {
 		t.Fatalf("/journal/recovered-jobs = %d, want ≥ %d", got, len(queued))
 	}
 	// Idempotency keys must survive the restart: resubmitting under the same
@@ -259,5 +263,82 @@ func TestTerminalTTLEvictionWithoutJournal(t *testing.T) {
 			t.Fatal("terminal job never TTL-evicted")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJournalCompactionKeepsConcurrentAdmits: a compaction snapshot is the
+// store at exactly its LSN, so an admission journaled while the snapshot was
+// being assembled must be in it (or replayed after it), and an admission
+// rescinded with a 429 must not come back — or a 202'd job is lost to the
+// restarted server, or a refused one runs anyway.
+func TestJournalCompactionKeepsConcurrentAdmits(t *testing.T) {
+	const submitters = 4
+	cfg := journalConfig(t)
+	cfg.MaxQueuedJobs = 256
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The runners stay unstarted, so admissions queue until the queue sheds.
+	// A full store of finished jobs makes one capture take milliseconds, long
+	// enough that admissions are certain to land meanwhile.
+	for n := 1; n <= retainFinished; n++ {
+		s.store.restore(newRecoveredJob(fmt.Sprintf("j-%d", n),
+			JobSpec{Kind: KindFibonacci, Size: 10}, time.Time{}, JobDone, "", 0))
+	}
+	accepted := make([][]string, submitters)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				j, se := s.Submit(JobSpec{Kind: KindFibonacci, Size: 10})
+				if se != nil {
+					if se.status != http.StatusTooManyRequests {
+						t.Errorf("submit shed with %d (%s), want 429", se.status, se.reason)
+					}
+					return
+				}
+				accepted[w] = append(accepted[w], j.ID())
+				admitted.Add(1)
+			}
+		}(w)
+	}
+	// Compactions run back to back while the first half of the queue fills,
+	// then stop: the last one overlaps live submitters, and nothing after it
+	// re-snapshots an admission it missed.
+	for admitted.Load() < int64(cfg.MaxQueuedJobs/2) {
+		s.journalCompact()
+	}
+	wg.Wait()
+	s.store.mu.Lock()
+	lastID := s.store.nextID
+	s.store.mu.Unlock()
+	if err := s.wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	acked := make(map[string]bool)
+	for _, ids := range accepted {
+		for _, id := range ids {
+			acked[id] = true
+			if _, ok := b.Job(id); !ok {
+				t.Fatalf("job %s was admitted (202) but is unknown after the restart", id)
+			}
+		}
+	}
+	for n := uint64(retainFinished + 1); n <= lastID; n++ {
+		id := fmt.Sprintf("j-%d", n)
+		if _, ok := b.Job(id); ok && !acked[id] {
+			t.Fatalf("job %s was rescinded (429) but came back after the restart", id)
+		}
 	}
 }

@@ -74,13 +74,10 @@ type Server struct {
 	// wal is the write-ahead job journal (nil when journal_dir is unset):
 	// admissions are journaled before their 202 is issued, so every
 	// acknowledged job survives a crash-restart of the daemon.
-	wal        *journal.Journal
-	recoveredC *counters.Cumulative
-	tornC      *counters.Cumulative
-	stopSweep  chan struct{}
-	sweepOnce  sync.Once
-	sweepWG    sync.WaitGroup
-	walFinal   sync.Once
+	wal       *journal.Ledger[walRecord, walSnapshot]
+	stopSweep chan struct{}
+	sweepOnce sync.Once
+	sweepWG   sync.WaitGroup
 }
 
 // New builds a server from the configuration. The runtime is owned by the
@@ -271,8 +268,7 @@ func New(cfg config.Server) (*Server, error) {
 	// Journal recovery runs before Start: replayed non-terminal jobs land in
 	// the queue and wait there until the runners launch.
 	if cfg.JournalDir != "" {
-		s.registerJournalCounters(reg)
-		if err := s.setupJournal(); err != nil {
+		if err := s.openJournal(reg); err != nil {
 			return nil, err
 		}
 	}
@@ -460,13 +456,8 @@ func (s *Server) Drain(ctx context.Context) (counters.Snapshot, error) {
 	// terminal, so the compaction snapshot + fsync leaves a journal that
 	// recovers to an empty non-terminal set. Skipped after Crash — a killed
 	// journal must stay frozen at the kill instant.
-	if s.wal != nil && !s.wal.Killed() {
-		s.walFinal.Do(func() {
-			s.journalCompact()
-			if err := s.wal.Close(); err != nil {
-				log.Printf("taskserve: journal close: %v", err)
-			}
-		})
+	if s.wal != nil {
+		s.wal.Close()
 	}
 	return s.rt.Counters().Snapshot(), nil
 }
