@@ -45,15 +45,16 @@ type Common struct {
 	// observation, and each replays its log on boot so a crash loses no
 	// acknowledged job. Empty disables durability entirely.
 	JournalDir string `json:"journal_dir,omitempty"`
-	// JournalFsync picks the fsync policy: "always" (one fsync per append),
+	// JournalFsync picks the fsync policy: "always" (a durable append waits
+	// for its fsync; lifecycle deltas ride the next one),
 	// "interval" (group commit batching on JournalFsyncInterval, the
 	// default), or "none" (OS page cache only).
 	JournalFsync string `json:"journal_fsync,omitempty"`
 	// JournalSegmentBytes is the segment-rotation threshold.
 	JournalSegmentBytes int64 `json:"journal_segment_bytes,omitempty"`
-	// JournalFsyncInterval is the group-commit window under the "interval"
-	// policy — the durability analogue of grain size: all records appended
-	// within one window share a single fsync.
+	// JournalFsyncInterval is the flusher's group-commit window — the
+	// durability analogue of grain size: all records appended within one
+	// window (under "always", all deltas) share a single fsync.
 	JournalFsyncInterval time.Duration `json:"journal_fsync_interval_ns,omitempty"`
 }
 
@@ -127,7 +128,7 @@ func (c *Common) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.JournalDir, "journal-dir", c.JournalDir, "write-ahead journal directory (empty disables durability)")
 	fs.StringVar(&c.JournalFsync, "journal-fsync", c.JournalFsync, "journal fsync policy (always, interval, none)")
 	fs.Int64Var(&c.JournalSegmentBytes, "journal-segment-bytes", c.JournalSegmentBytes, "journal segment rotation size")
-	fs.DurationVar(&c.JournalFsyncInterval, "journal-fsync-interval", c.JournalFsyncInterval, "group-commit window under the interval policy")
+	fs.DurationVar(&c.JournalFsyncInterval, "journal-fsync-interval", c.JournalFsyncInterval, "group-commit window of the journal flusher")
 }
 
 // applyEnv is the one environment reader: it overlays prefix+KEY variables

@@ -6,15 +6,21 @@
 // The fsync policy is the durability edition of the paper's granularity
 // trade-off (Eq. 1): an fsync per record is the "tiny task" regime — the
 // per-record overhead (a device flush) swamps the payload and throughput
-// collapses. The interval policy batches every record appended inside one
-// commit window into a single fsync (group commit), exactly the way
-// SpawnBatch amortizes one wake over a batch of spawns: the overhead is paid
-// once per group, not once per record.
+// collapses. The journal therefore commits once per durable need, not once
+// per record, exactly the way SpawnBatch amortizes one wake over a batch of
+// spawns: the overhead is paid once per group, not once per record.
 //
-//	always    fsync inside every Append; durable on return
-//	interval  Append returns after the buffered write; a group-commit
-//	          syncer fsyncs every FsyncInterval, covering every record
-//	          appended since the previous flush (bounded-loss window)
+// An append is one of two kinds. A durable append (Append, AppendBatch)
+// returns, under the always policy, only once an fsync covers its last LSN.
+// A delta (Ledger.Note) is written at once and becomes durable with the next
+// fsync or within FsyncInterval, whichever comes first. Every fsync covers
+// all records appended before it, so deltas ride the next durable append's.
+//
+//	always    durable appends return after their fsync; a flusher fsyncs
+//	          pending deltas every FsyncInterval
+//	interval  every append is a delta: it returns after the buffered write,
+//	          and the flusher commits every FsyncInterval (bounded-loss
+//	          window)
 //	none      never fsync (the OS flushes); for benchmarking the floor
 //	          and for tests on tmpfs
 package journal
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -82,9 +89,9 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync is the durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval is the group-commit window of the interval policy
-	// (default 2ms): every record appended within one window shares one
-	// fsync.
+	// FsyncInterval is the flusher's commit window (default 2ms): every
+	// delta appended within one window — under interval, every record —
+	// shares one fsync.
 	FsyncInterval time.Duration
 }
 
@@ -114,12 +121,16 @@ type Journal struct {
 	next     LSN // next LSN to assign
 	appended LSN // last appended LSN
 	durable  LSN // last LSN covered by an fsync
+	pending  LSN // last LSN written as a delta; the flusher commits up to it
 	snapLSN  LSN // LSN of the newest snapshot on disk
 	closed   bool
+	// syncFile is every tail fsync; tests inject faults through it.
+	syncFile func(*os.File) error
 
 	killed atomic.Bool
 
 	stopSync chan struct{}
+	stopOnce sync.Once
 	syncWG   sync.WaitGroup
 
 	// Stats, exported for telemetry counters.
@@ -150,6 +161,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		appended: st.lastLSN,
 		durable:  st.lastLSN,
 		snapLSN:  st.snapLSN,
+		syncFile: (*os.File).Sync,
 		stopSync: make(chan struct{}),
 	}
 	j.torn.Store(int64(st.tornTruncations))
@@ -167,7 +179,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		j.segStart = tail.firstLSN
 		j.segSize = tail.validBytes
 	}
-	if opts.Fsync == FsyncInterval {
+	if opts.Fsync != FsyncNone {
 		j.syncWG.Add(1)
 		go j.syncLoop()
 	}
@@ -175,34 +187,47 @@ func Open(dir string, opts Options) (*Journal, error) {
 }
 
 // openSegmentLocked creates the segment whose first record will carry
-// firstLSN. Caller holds j.mu (or is in Open before the journal escapes).
+// firstLSN and makes it the tail. Only creating the file can fail, and then
+// the tail is unchanged. Caller holds j.mu (or is in Open before the journal
+// escapes).
 func (j *Journal) openSegmentLocked(firstLSN LSN) error {
 	f, err := os.OpenFile(filepath.Join(j.dir, segmentName(firstLSN)),
 		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	syncDir(j.dir)
 	j.f = f
 	j.segStart = firstLSN
 	j.segSize = 0
-	return syncDir(j.dir)
+	return nil
 }
 
-// Append writes one framed record and returns its LSN: AppendBatch with a
-// batch of one. Durability on return follows the fsync policy: guaranteed
-// under always, within FsyncInterval under interval, at the OS's leisure
-// under none.
+// Append durably appends one framed record and returns its LSN:
+// AppendBatch with a batch of one.
 func (j *Journal) Append(payload []byte) (LSN, error) {
 	return j.AppendBatch([][]byte{payload})
 }
 
-// AppendBatch writes a batch of framed records under one lock acquisition
-// and returns the LSN of the first. Under the always policy the whole batch
-// shares a single fsync — the group-commit amortization of SpawnBatch
-// applied to durability: one device flush per batch instead of one per
-// record. Under interval the batch lands inside one commit window. LSNs are
-// assigned contiguously, so record i carries first+i.
+// AppendBatch durably appends a batch of framed records under one lock
+// acquisition and returns the LSN of the first. LSNs are assigned
+// contiguously, so record i carries first+i. Durability on return follows
+// the fsync policy: under always one fsync covers the whole batch and every
+// delta written before it — the group-commit amortization of SpawnBatch
+// applied to durability; under interval the batch is a delta the flusher
+// fsyncs within FsyncInterval; under none the OS flushes at its leisure.
 func (j *Journal) AppendBatch(payloads [][]byte) (LSN, error) {
+	return j.append(payloads, j.opts.Fsync == FsyncAlways)
+}
+
+// append writes payloads as one frame buffer and, when commit is set,
+// fsyncs them before returning; otherwise they are deltas, durable at the
+// next fsync. Once the frames are written the records exist — recovery
+// replays them — so a failed rotation after the write is logged and retried
+// by the next append, never returned as a refusal of the records. A failed
+// fsync is returned, and leaves durable where it was for the next one to
+// retry.
+func (j *Journal) append(payloads [][]byte, commit bool) (LSN, error) {
 	if len(payloads) == 0 {
 		return 0, fmt.Errorf("journal: empty batch")
 	}
@@ -245,40 +270,39 @@ func (j *Journal) AppendBatch(payloads [][]byte) (LSN, error) {
 		j.appendsBatched.Add(int64(n))
 	}
 
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if j.segSize >= j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
-			return first, err
+			log.Printf("%v; the tail stays open and the next append retries the rotation", err)
 		}
 	}
-	return first, nil
+	if !commit {
+		j.pending = j.appended
+		return first, nil
+	}
+	return first, j.syncLocked()
 }
 
-// rotateLocked seals the tail segment (fsync unless policy none) and opens a
-// fresh one. Caller holds j.mu.
+// rotateLocked seals the tail segment (fsync unless policy none) and moves
+// appends to a fresh one. The new segment is created before the old one is
+// closed, so on failure the old tail stays open and appendable. Once the new
+// tail exists the rotation has happened: closing the sealed file loses
+// nothing the policy promised, so its error is ignored. Caller holds j.mu.
 func (j *Journal) rotateLocked() error {
 	if j.opts.Fsync != FsyncNone {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: seal: %w", err)
-		}
-		j.fsyncs.Add(1)
-		if j.appended > j.durable {
-			j.lastGroup.Store(int64(j.appended - j.durable))
-			j.durable = j.appended
+		if err := j.syncLocked(); err != nil {
+			return err
 		}
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: seal: %w", err)
+	sealed := j.f
+	if err := j.openSegmentLocked(j.next); err != nil {
+		return err
 	}
-	return j.openSegmentLocked(j.next)
+	_ = sealed.Close()
+	return nil
 }
 
-// syncLoop is the interval policy's group-commit syncer: one fsync per
-// window covers every record appended since the last one.
+// syncLoop is the flusher: once per FsyncInterval it fsyncs every delta
+// written since the last fsync, and does nothing when none is pending.
 func (j *Journal) syncLoop() {
 	defer j.syncWG.Done()
 	tick := time.NewTicker(j.opts.FsyncInterval)
@@ -289,13 +313,21 @@ func (j *Journal) syncLoop() {
 			return
 		case <-tick.C:
 			j.mu.Lock()
-			_ = j.syncLocked() // a failed flush is retried at the next tick
+			if j.pending > j.durable {
+				_ = j.syncLocked() // a failed flush is retried at the next tick
+			}
 			j.mu.Unlock()
 		}
 	}
 }
 
-// Sync forces an fsync of the tail segment regardless of policy — the drain
+// stopFlusher stops the flusher goroutine, once.
+func (j *Journal) stopFlusher() {
+	j.stopOnce.Do(func() { close(j.stopSync) })
+	j.syncWG.Wait()
+}
+
+// Sync fsyncs every record appended so far regardless of policy — the drain
 // path calls it so a graceful shutdown leaves nothing in the page cache.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
@@ -304,7 +336,8 @@ func (j *Journal) Sync() error {
 }
 
 // syncLocked fsyncs the tail segment if it holds records no fsync has
-// covered yet — the one flush every policy goes through. Caller holds j.mu.
+// covered yet — the one flush every policy and every durable append goes
+// through. Caller holds j.mu.
 func (j *Journal) syncLocked() error {
 	if j.killed.Load() {
 		return ErrKilled
@@ -312,14 +345,15 @@ func (j *Journal) syncLocked() error {
 	if j.closed {
 		return ErrClosed
 	}
-	if j.appended > j.durable {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		j.fsyncs.Add(1)
-		j.lastGroup.Store(int64(j.appended - j.durable))
-		j.durable = j.appended
+	if j.appended <= j.durable {
+		return nil
 	}
+	if err := j.syncFile(j.f); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	j.fsyncs.Add(1)
+	j.lastGroup.Store(int64(j.appended - j.durable))
+	j.durable = j.appended
 	return nil
 }
 
@@ -395,18 +429,19 @@ func (j *Journal) compactLocked() {
 			_ = os.Remove(filepath.Join(j.dir, segs[i].name))
 		}
 	}
-	_ = syncDir(j.dir)
+	syncDir(j.dir)
 }
 
-// Kill simulates a crash for tests: every later append, sync, and snapshot
-// fails with ErrKilled, freezing the on-disk state at this instant — the
-// moment the SIGKILL landed. Unlike Close it never flushes.
+// Kill simulates a process crash for tests: every later append, sync, and
+// snapshot fails with ErrKilled, freezing the files at this instant — the
+// moment the SIGKILL landed. Records already written stay in them, as they
+// would in the page cache; DurableLSN is what a power loss would have kept.
+// Unlike Close it never flushes.
 func (j *Journal) Kill() {
 	if !j.killed.CompareAndSwap(false, true) {
 		return
 	}
-	close(j.stopSync)
-	j.syncWG.Wait()
+	j.stopFlusher()
 	j.mu.Lock()
 	if !j.closed {
 		j.closed = true
@@ -423,16 +458,7 @@ func (j *Journal) Close() error {
 	if j.killed.Load() {
 		return ErrKilled
 	}
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return nil
-	}
-	j.mu.Unlock()
-	if j.opts.Fsync == FsyncInterval {
-		close(j.stopSync)
-		j.syncWG.Wait()
-	}
+	j.stopFlusher()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -451,6 +477,14 @@ func (j *Journal) LastLSN() LSN {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.appended
+}
+
+// DurableLSN returns the last LSN an fsync has covered: the log a power
+// loss at this instant would leave.
+func (j *Journal) DurableLSN() LSN {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.durable
 }
 
 // Appends returns how many records have been appended.
@@ -553,16 +587,18 @@ func writeSnapshotFile(dir string, lsn LSN, state []byte) error {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	return syncDir(dir)
+	syncDir(dir)
+	return nil
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.
-func syncDir(dir string) error {
+// It is best effort and cannot fail: some filesystems refuse directory opens
+// or directory fsyncs.
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil // best effort; some filesystems refuse directory opens
+		return
 	}
 	defer d.Close()
 	_ = d.Sync()
-	return nil
 }

@@ -103,8 +103,9 @@ func OpenLedger[R, S any](dir string, opts Options, reg *counters.Registry, tier
 // Recovered returns how many jobs OpenLedger's replay recovered.
 func (l *Ledger[R, S]) Recovered() int64 { return l.recovered.Raw() }
 
-// AppendBatch marshals recs and appends them as one vectored write (one
-// group commit). An error means none of them is durable-bound.
+// AppendBatch marshals recs and durably appends them as one vectored write:
+// under always it returns once one fsync covers them all. An error means
+// none of them may be acknowledged as durable.
 func (l *Ledger[R, S]) AppendBatch(recs []R) error {
 	payloads := make([][]byte, len(recs))
 	for i := range recs {
@@ -118,13 +119,22 @@ func (l *Ledger[R, S]) AppendBatch(recs []R) error {
 	return err
 }
 
-// Note appends one record best-effort, logging any failure but a simulated
-// crash: a lost note only widens the replay window after the next restart,
-// it never costs a live request.
+// Commit is AppendBatch for records whose reply does not wait on the
+// outcome: it logs any failure but a simulated crash.
+func (l *Ledger[R, S]) Commit(recs []R) {
+	if err := l.AppendBatch(recs); err != nil && err != ErrKilled {
+		log.Printf("%s: journal commit of %d records: %v", l.name, len(recs), err)
+	}
+}
+
+// Note appends one record as a delta: written now, durable at the next
+// commit or within FsyncInterval, so it costs no fsync of its own. A lost
+// note only widens the replay window after the next restart; it never costs
+// a live request. Failures but a simulated crash are logged.
 func (l *Ledger[R, S]) Note(rec R) {
 	b, err := json.Marshal(rec)
 	if err == nil {
-		_, err = l.Journal.Append(b)
+		_, err = l.Journal.append([][]byte{b}, false)
 	}
 	if err != nil && err != ErrKilled {
 		log.Printf("%s: journal %s: %v", l.name, b, err)

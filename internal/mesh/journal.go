@@ -12,7 +12,8 @@ import (
 
 // Gateway journal record kinds: place (a node admitted the job at a new
 // placement epoch — the spec rides along so a restarted gateway can fail the
-// job over again) and term (a terminal node state was observed).
+// job over again; durable) and term (a terminal node state was observed; a
+// delta).
 const (
 	meshWalPlace = "place"
 	meshWalTerm  = "term"
@@ -149,21 +150,27 @@ func (m *Mesh) replay(snap meshSnapshot, recs []meshWalRecord) (int, error) {
 	return len(order), nil
 }
 
-// journalPlace records a successful placement epoch.
-func (m *Mesh) journalPlace(job *meshJob) {
-	job.mu.Lock()
-	rec := meshWalRecord{
-		T: meshWalPlace, ID: job.id, Key: job.key, Kind: job.kind,
-		Spec: job.spec, NodeJobID: job.nodeJobID, Epoch: job.epoch,
+// journalPlace records the placement epochs one upstream call won, as one
+// durable append: under always the 202 that names the placement goes out
+// only once an fsync covers it.
+func (m *Mesh) journalPlace(jobs []*meshJob) {
+	recs := make([]meshWalRecord, len(jobs))
+	for i, job := range jobs {
+		job.mu.Lock()
+		recs[i] = meshWalRecord{
+			T: meshWalPlace, ID: job.id, Key: job.key, Kind: job.kind,
+			Spec: job.spec, NodeJobID: job.nodeJobID, Epoch: job.epoch,
+		}
+		if job.node != nil {
+			recs[i].Node = job.node.name
+		}
+		job.mu.Unlock()
 	}
-	if job.node != nil {
-		rec.Node = job.node.name
-	}
-	job.mu.Unlock()
-	m.wal.Note(rec)
+	m.wal.Commit(recs)
 }
 
-// journalTerm records the first observed terminal state.
+// journalTerm records the first observed terminal state as a delta: losing
+// it leaves the job placed, and the next poll observes the verdict again.
 func (m *Mesh) journalTerm(job *meshJob) {
 	job.mu.Lock()
 	rec := meshWalRecord{T: meshWalTerm, ID: job.id, State: job.state}

@@ -106,6 +106,39 @@ func TestMeshJournalGatewayRestart(t *testing.T) {
 	}
 }
 
+// TestMeshJournalPlacementDurableUnderAlways: under always the placements
+// one upstream call wins are one durable append, so the client's 202s go out
+// only after one fsync covers them all.
+func TestMeshJournalPlacementDurableUnderAlways(t *testing.T) {
+	node := newFakeNode(t)
+	cfg := testMeshConfig(node.ts.URL)
+	cfg.JournalDir = t.TempDir()
+	cfg.JournalFsync = string(journal.FsyncAlways)
+	cfg.JournalFsyncInterval = time.Hour // no flusher commit inside the test
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer m.Stop()
+	waitFor(t, 5*time.Second, "node routable", func() bool {
+		return len(m.nodes.Routable()) == 1
+	})
+	before := m.wal.Fsyncs()
+	specs := []wire.JobSpec{{Kind: "fibonacci", Size: 10}, {Kind: "fibonacci", Size: 11}, {Kind: "fibonacci", Size: 12}}
+	for i, res := range m.admit(context.Background(), specs, trace.SpanContext{}, true) {
+		if res.Status != http.StatusAccepted {
+			t.Fatalf("item %d: status %d (%v)", i, res.Status, res.Error)
+		}
+	}
+	if got := m.wal.Fsyncs() - before; got != 1 {
+		t.Fatalf("3 placements from one upstream call took %d fsyncs, want 1", got)
+	}
+	if last, durable := m.wal.LastLSN(), m.wal.DurableLSN(); last != 3 || durable != last {
+		t.Fatalf("LastLSN %d, DurableLSN %d after the 202s; want 3 placement records, all durable", last, durable)
+	}
+}
+
 // TestMeshJournalUnknownNodePlacement: a recovered placement naming a node no
 // longer in the configuration leaves the job unplaced (503 on poll) rather
 // than failing recovery — the failover path, not boot, re-places it.

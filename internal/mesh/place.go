@@ -237,6 +237,7 @@ func (m *Mesh) forward(ctx context.Context, n *Node, group []*placeItem, batch b
 	}
 
 	hint := time.Duration(0)
+	var placed []*meshJob
 	for k, it := range group {
 		res := results[k]
 		switch {
@@ -260,7 +261,7 @@ func (m *Mesh) forward(ctx context.Context, n *Node, group []*placeItem, batch b
 				continue
 			}
 			if m.wal != nil {
-				m.journalPlace(it.job)
+				placed = append(placed, it.job)
 			}
 			hop := trace.Route
 			if it.isFailover {
@@ -289,6 +290,9 @@ func (m *Mesh) forward(ctx context.Context, n *Node, group []*placeItem, batch b
 			it.done = true
 			it.refusal = wire.BatchItem{Status: res.Status, Error: res.Error}
 		}
+	}
+	if len(placed) > 0 {
+		m.journalPlace(placed)
 	}
 	return hint, true
 }

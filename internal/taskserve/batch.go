@@ -116,26 +116,29 @@ func (s *Server) admit(specs []JobSpec) []batchItem {
 	if len(added) == 0 {
 		return results
 	}
-	// rescind takes back store entries (and journaled admits) that will not
-	// run, shedding their items.
-	rescind := func(se *shedError, from int, journaled bool) {
+	// rescind takes back store entries that will not run and sheds their
+	// items. Their drop records go out as one durable append before the
+	// shed reply does: recovery must never resurrect a job refused with a
+	// 429 or 503. That holds when the admit append itself failed too, since
+	// its frames may be on disk all the same.
+	rescind := func(se *shedError, from int) {
 		for k := from; k < len(added); k++ {
 			s.store.remove(jobs[k].ID())
-			if journaled && s.wal != nil {
-				s.journalDrop(jobs[k].ID())
-			}
+		}
+		if s.wal != nil {
+			s.journalDrop(jobs[from:])
 		}
 		shedAll(se, added[from:])
 	}
 
-	// One vectored append journals every admit record — one group-commit
-	// fsync for N jobs. The admit records must be durable-bound before any
-	// 202 goes out: an acknowledged job that the journal never saw would
-	// vanish in a crash, which is precisely the ledger violation the journal
-	// exists to prevent.
+	// One durable vectored append journals every admit record — one
+	// group-commit fsync for N jobs. The admit records must be durable
+	// before any 202 goes out: an acknowledged job that the journal never
+	// saw would vanish in a crash, which is precisely the ledger violation
+	// the journal exists to prevent.
 	if s.wal != nil {
 		if err := s.journalAdmitBatch(jobs); err != nil {
-			rescind(&shedError{status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter}, 0, false)
+			rescind(&shedError{status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter}, 0)
 			return results
 		}
 	}
@@ -150,7 +153,7 @@ func (s *Server) admit(specs []JobSpec) []batchItem {
 	s.queueMu.Lock()
 	if s.draining.Load() {
 		s.queueMu.Unlock()
-		rescind(s.shedDraining(), 0, true)
+		rescind(s.shedDraining(), 0)
 		return results
 	}
 	cut := 0
@@ -169,7 +172,7 @@ sends:
 			status:     429,
 			reason:     fmt.Sprintf("job queue full (limit %d)", s.cfg.MaxQueuedJobs),
 			retryAfter: s.cfg.RetryAfter,
-		}, cut, true)
+		}, cut)
 	}
 	for k := 0; k < cut; k++ {
 		results[added[k]].fresh = true

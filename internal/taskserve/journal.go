@@ -9,11 +9,13 @@ import (
 )
 
 // Journal record kinds. One record is appended per lifecycle transition:
-// admit (before the 202 is issued, so an acknowledged job is always
+// admit (durable before the 202 is issued, so an acknowledged job is always
 // recoverable), start (grain chosen, task group headed for the runtime),
 // term (exactly one per job, guarded by Job.terminalLogged), and drop (an
 // admit that was rescinded before the job ever ran — shed on a full queue or
-// a drain race — so recovery must forget it rather than resurrect it).
+// a drain race — durable before the shed reply, so recovery forgets it
+// rather than resurrect it). Start and term are deltas that ride the next
+// commit: one fsync per admitted job.
 const (
 	walAdmit = "admit"
 	walStart = "start"
@@ -161,11 +163,11 @@ func (s *Server) replay(snap walSnapshot, recs []walRecord) (restored int, verdi
 	return restored, verdicts
 }
 
-// journalAdmitBatch persists a batch of admissions (a single submit is a
-// batch of one) as one vectored append: every record shares a single frame
-// write and — under the always policy — a single fsync, so the durability
-// cost of N admitted jobs is one group commit. It must succeed before any of
-// the batch's 202s go out.
+// journalAdmitBatch durably persists a batch of admissions (a single submit
+// is a batch of one) as one vectored append: every record shares a single
+// frame write and — under the always policy — a single fsync, so the
+// durability cost of N admitted jobs is one group commit. It must succeed
+// before any of the batch's 202s go out.
 func (s *Server) journalAdmitBatch(jobs []*Job) error {
 	recs := make([]walRecord, len(jobs))
 	for i, job := range jobs {
@@ -175,16 +177,25 @@ func (s *Server) journalAdmitBatch(jobs []*Job) error {
 	return s.wal.AppendBatch(recs)
 }
 
-// journalDrop rescinds a journaled admission that never ran.
-func (s *Server) journalDrop(id string) { s.wal.Note(walRecord{T: walDrop, ID: id}) }
+// journalDrop durably rescinds journaled admissions that will never run, one
+// drop record each, in one vectored append.
+func (s *Server) journalDrop(jobs []*Job) {
+	recs := make([]walRecord, len(jobs))
+	for i, job := range jobs {
+		recs[i] = walRecord{T: walDrop, ID: job.ID()}
+	}
+	s.wal.Commit(recs)
+}
 
-// journalStart records the queued→running transition.
+// journalStart records the queued→running transition as a delta: losing it
+// only replays the job as queued.
 func (s *Server) journalStart(job *Job) {
 	_, _, _, _, grain := job.journalState()
 	s.wal.Note(walRecord{T: walStart, ID: job.ID(), Grain: grain})
 }
 
-// journalTerm records a job's terminal verdict.
+// journalTerm records a job's terminal verdict as a delta: losing it replays
+// the job as running, which recovery requeues or fails lost-on-crash.
 func (s *Server) journalTerm(job *Job) {
 	_, _, state, errMsg, _ := job.journalState()
 	s.wal.Note(walRecord{T: walTerm, ID: job.ID(), State: state, Err: errMsg})
