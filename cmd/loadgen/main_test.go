@@ -20,7 +20,7 @@ func newBackend(t *testing.T, mutate func(*config.Server)) *httptest.Server {
 	t.Helper()
 	cfg := config.DefaultServer()
 	cfg.Workers = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	cfg.ShedMinTasks = 1e12 // keep admission deterministic under test load
 	if mutate != nil {
 		mutate(&cfg)
@@ -245,7 +245,7 @@ func TestLoadgenMeshTargets(t *testing.T) {
 func TestLoadgenTruncatedPollCountsAsFailure(t *testing.T) {
 	cfg := config.DefaultServer()
 	cfg.Workers = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	cfg.ShedMinTasks = 1e12
 	s, err := taskserve.New(cfg)
 	if err != nil {
@@ -320,7 +320,7 @@ func TestLoadgenIDLogAndExpectRecovered(t *testing.T) {
 	}
 	cfg := config.DefaultServer()
 	cfg.Workers = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	cfg.ShedMinTasks = 1e12
 	mutate(&cfg)
 	a, err := taskserve.New(cfg)

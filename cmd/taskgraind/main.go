@@ -17,14 +17,14 @@
 //	-high-idle <f>          idle-rate shed threshold (Eq. 1; default 0.30)
 //	-shed-min-tasks <f>     interval task floor before idle-rate sheds
 //	-retry-after <dur>      Retry-After hint on shed responses
-//	-sample-interval <dur>  policy-engine sampling period
 //	-control-mode <name>    control plane mode: actuate applies policy
 //	                        verdicts and grain hints, advisory only logs
 //	                        them at /control/decisions (default actuate)
 //	-max-job-size <n>       largest accepted job size
 //	-default-deadline <dur> deadline for jobs that set none (0 = none)
 //	-drain-timeout <dur>    bound on the SIGTERM drain (default 1m)
-//	-telemetry-interval <dur> counter-ring sampling period (default 250ms)
+//	-telemetry-interval <dur> counter sampling period: the telemetry ring,
+//	                        admission and the policy engine (default 50ms)
 //	-telemetry-ring <n>     samples retained per counter (default 600)
 //	-watchdog-window <dur>  idle-rate watchdog sliding window (default 5s)
 //	-journal-dir <path>     write-ahead job journal directory ("" = off):

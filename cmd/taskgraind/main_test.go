@@ -61,7 +61,7 @@ func startDaemon(t *testing.T, args []string, stdout *syncBuffer, stderr io.Writ
 func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 	var stdout syncBuffer
 	var stderr bytes.Buffer
-	base, exit := startDaemon(t, []string{"-workers", "2", "-sample-interval", "5ms"}, &stdout, &stderr)
+	base, exit := startDaemon(t, []string{"-workers", "2", "-telemetry-interval", "5ms"}, &stdout, &stderr)
 
 	// Submit a job and watch it complete through the HTTP API.
 	body := []byte(`{"kind":"fibonacci","size":20,"grain":10}`)

@@ -44,7 +44,7 @@ func startNode(t *testing.T) string {
 	t.Helper()
 	cfg := config.DefaultServer()
 	cfg.Workers = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	s, err := taskserve.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func startCluster(opts clusterOpts) (*cluster, error) {
 	for i := 0; i < opts.nodes; i++ {
 		cfg := config.DefaultServer()
 		cfg.Workers = 2
-		cfg.SampleInterval = 5 * time.Millisecond
+		cfg.TelemetryInterval = 5 * time.Millisecond
 		cfg.ShedMinTasks = 1e12 // admission stays out of routing scenarios
 		if opts.serverCfg != nil {
 			opts.serverCfg(i, &cfg)
@@ -598,7 +598,7 @@ func scenarioCrashRestartJournal() chaos.Scenario {
 			newServer := func() (*taskserve.Server, *httptest.Server, error) {
 				cfg := config.DefaultServer()
 				cfg.Workers = 2
-				cfg.SampleInterval = 5 * time.Millisecond
+				cfg.TelemetryInterval = 5 * time.Millisecond
 				cfg.ShedMinTasks = 1e12
 				cfg.MaxConcurrentJobs = 2
 				cfg.JournalDir = dir

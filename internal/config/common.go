@@ -30,7 +30,8 @@ type Common struct {
 
 	// TelemetryInterval is the counter-sampling period of the telemetry
 	// ring (time-series history behind /metrics, /telemetry/* and the
-	// watchdogs).
+	// watchdogs). On a node the same samples drive admission and the policy
+	// engine, so it is also the control plane's period.
 	TelemetryInterval time.Duration `json:"telemetry_interval_ns"`
 	// TelemetryRing is the ring capacity in samples (history length =
 	// TelemetryInterval × TelemetryRing).

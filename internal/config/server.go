@@ -50,16 +50,13 @@ type Server struct {
 	// demonstrates ~0.30): intervals above it with real task flow mark the
 	// runtime overhead-bound and shed new work.
 	HighIdle float64 `json:"high_idle"`
-	// ShedMinTasks is the interval task-count floor below which a high
+	// ShedMinTasks is the per-sample task-count floor below which a high
 	// idle-rate means an *empty* runtime rather than an overloaded one (the
 	// two walls of the paper's U-curve are indistinguishable by idle-rate
 	// alone), so no shedding happens.
 	ShedMinTasks float64 `json:"shed_min_tasks"`
 	// RetryAfter is the client backoff hint attached to 429/503 responses.
 	RetryAfter time.Duration `json:"retry_after_ns"`
-	// SampleInterval is the policy-engine sampling period driving admission
-	// and adaptive grain selection.
-	SampleInterval time.Duration `json:"sample_interval_ns"`
 	// MaxJobSize rejects single jobs larger than this many points (400).
 	MaxJobSize int `json:"max_job_size"`
 	// DefaultDeadline bounds jobs that do not set one (0 = none).
@@ -82,10 +79,14 @@ type Server struct {
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
 }
 
-// DefaultServer returns the taskgraind defaults.
+// DefaultServer returns the taskgraind defaults. A node samples every 50ms
+// rather than the gateway's 250ms: its one sampler also drives admission and
+// the policy engine, which must react within a few jobs.
 func DefaultServer() Server {
+	common := defaultCommon(":8080")
+	common.TelemetryInterval = 50 * time.Millisecond
 	return Server{
-		Common:            defaultCommon(":8080"),
+		Common:            common,
 		Policy:            "priority-local-fifo",
 		MaxQueuedJobs:     64,
 		MaxConcurrentJobs: 4,
@@ -93,7 +94,6 @@ func DefaultServer() Server {
 		HighIdle:          0.30,
 		ShedMinTasks:      256,
 		RetryAfter:        time.Second,
-		SampleInterval:    50 * time.Millisecond,
 		MaxJobSize:        50_000_000,
 		JournalRecovery:   JournalRecoveryRequeue,
 		TerminalTTL:       10 * time.Minute,
@@ -120,8 +120,6 @@ func (s *Server) Validate() error {
 		return fmt.Errorf("config: shed_min_tasks = %v", s.ShedMinTasks)
 	case s.RetryAfter <= 0:
 		return fmt.Errorf("config: retry_after = %v", s.RetryAfter)
-	case s.SampleInterval <= 0:
-		return fmt.Errorf("config: sample_interval = %v", s.SampleInterval)
 	case s.MaxJobSize < 1:
 		return fmt.Errorf("config: max_job_size = %d", s.MaxJobSize)
 	case s.DefaultDeadline < 0:
@@ -185,7 +183,6 @@ func (s *Server) Flags(fs *flag.FlagSet) {
 	fs.Float64Var(&s.HighIdle, "high-idle", s.HighIdle, "idle-rate shedding threshold (Eq. 1)")
 	fs.Float64Var(&s.ShedMinTasks, "shed-min-tasks", s.ShedMinTasks, "interval task floor before idle-rate sheds")
 	fs.DurationVar(&s.RetryAfter, "retry-after", s.RetryAfter, "Retry-After hint on shed responses")
-	fs.DurationVar(&s.SampleInterval, "sample-interval", s.SampleInterval, "policy-engine sampling period")
 	fs.IntVar(&s.MaxJobSize, "max-job-size", s.MaxJobSize, "largest accepted job size (points)")
 	fs.DurationVar(&s.DefaultDeadline, "default-deadline", s.DefaultDeadline, "deadline for jobs that set none (0 = none)")
 	fs.StringVar(&s.JournalRecovery, "journal-recovery", s.journalRecoveryName(),

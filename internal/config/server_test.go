@@ -25,7 +25,6 @@ func TestServerValidateRejects(t *testing.T) {
 		func(s *Server) { s.MaxInflightTasks = 0 },
 		func(s *Server) { s.HighIdle = 1.5 },
 		func(s *Server) { s.RetryAfter = 0 },
-		func(s *Server) { s.SampleInterval = -time.Second },
 		func(s *Server) { s.MaxJobSize = 0 },
 		func(s *Server) { s.Policy = "no-such-policy" },
 		func(s *Server) { s.TelemetryInterval = 0 },
@@ -57,7 +56,6 @@ func TestServerApplyEnv(t *testing.T) {
 		"TASKGRAIND_MAX_BATCH_JOBS":      "33",
 		"TASKGRAIND_HIGH_IDLE":           "0.45",
 		"TASKGRAIND_RETRY_AFTER":         "2500ms",
-		"TASKGRAIND_SAMPLE_INTERVAL":     "25ms",
 		"TASKGRAIND_DEFAULT_DEADLINE":    "30s",
 		"TASKGRAIND_TELEMETRY_INTERVAL":  "125ms",
 		"TASKGRAIND_TELEMETRY_RING":      "99",
@@ -69,8 +67,7 @@ func TestServerApplyEnv(t *testing.T) {
 	}
 	if s.Addr != "127.0.0.1:9999" || s.Workers != 3 || s.MaxQueuedJobs != 7 ||
 		s.MaxConcurrentJobs != 2 || s.MaxInflightTasks != 12345 || s.MaxBatchJobs != 33 || s.HighIdle != 0.45 ||
-		s.RetryAfter != 2500*time.Millisecond || s.SampleInterval != 25*time.Millisecond ||
-		s.DefaultDeadline != 30*time.Second {
+		s.RetryAfter != 2500*time.Millisecond || s.DefaultDeadline != 30*time.Second {
 		t.Fatalf("env overlay not applied: %+v", s)
 	}
 	if s.TelemetryInterval != 125*time.Millisecond || s.TelemetryRing != 99 ||
@@ -174,5 +171,21 @@ func TestServerLoadRoundTrip(t *testing.T) {
 func TestServerLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := LoadServer(strings.NewReader(`{"addr": ":1", "no_such_field": 1}`)); err == nil {
 		t.Fatal("LoadServer accepted unknown field")
+	}
+	// The node samples at telemetry_interval; a file still carrying the
+	// removed sampling key fails to load instead of being silently ignored.
+	if _, err := LoadServer(strings.NewReader(`{"addr": ":1", "sample_interval_ns": 20000000}`)); err == nil {
+		t.Fatal("LoadServer accepted the removed sample_interval_ns key")
+	}
+}
+
+// TestTelemetryIntervalDefaults: a node's one sampling interval defaults to
+// the control plane's 50ms; the gateway keeps the ring's 250ms.
+func TestTelemetryIntervalDefaults(t *testing.T) {
+	if got := DefaultServer().TelemetryInterval; got != 50*time.Millisecond {
+		t.Fatalf("node telemetry_interval = %v, want 50ms", got)
+	}
+	if got := DefaultMesh().TelemetryInterval; got != 250*time.Millisecond {
+		t.Fatalf("gateway telemetry_interval = %v, want 250ms", got)
 	}
 }

@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"taskgrain/internal/loop"
 )
 
 // FsyncPolicy selects when appends are flushed to stable storage.
@@ -129,9 +131,10 @@ type Journal struct {
 
 	killed atomic.Bool
 
-	stopSync chan struct{}
-	stopOnce sync.Once
-	syncWG   sync.WaitGroup
+	// flusher commits pending deltas every FsyncInterval (nil under
+	// FsyncNone); flushMeter counts its runs as /loops{journal-flush}/.
+	flusher    *loop.Loop
+	flushMeter loop.Meter
 
 	// Stats, exported for telemetry counters.
 	appends        atomic.Int64
@@ -155,14 +158,14 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{
-		dir:      dir,
-		opts:     opts,
-		next:     st.lastLSN + 1,
-		appended: st.lastLSN,
-		durable:  st.lastLSN,
-		snapLSN:  st.snapLSN,
-		syncFile: (*os.File).Sync,
-		stopSync: make(chan struct{}),
+		dir:        dir,
+		opts:       opts,
+		next:       st.lastLSN + 1,
+		appended:   st.lastLSN,
+		durable:    st.lastLSN,
+		snapLSN:    st.snapLSN,
+		syncFile:   (*os.File).Sync,
+		flushMeter: loop.NewMeter("journal-flush"),
 	}
 	j.torn.Store(int64(st.tornTruncations))
 	if len(st.segments) == 0 {
@@ -180,8 +183,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		j.segSize = tail.validBytes
 	}
 	if opts.Fsync != FsyncNone {
-		j.syncWG.Add(1)
-		go j.syncLoop()
+		j.flusher = j.flushMeter.Every(opts.FsyncInterval, j.flush)
 	}
 	return j, nil
 }
@@ -301,30 +303,14 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// syncLoop is the flusher: once per FsyncInterval it fsyncs every delta
-// written since the last fsync, and does nothing when none is pending.
-func (j *Journal) syncLoop() {
-	defer j.syncWG.Done()
-	tick := time.NewTicker(j.opts.FsyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-j.stopSync:
-			return
-		case <-tick.C:
-			j.mu.Lock()
-			if j.pending > j.durable {
-				_ = j.syncLocked() // a failed flush is retried at the next tick
-			}
-			j.mu.Unlock()
-		}
+// flush is the flusher's body: it fsyncs every delta written since the last
+// fsync, and does nothing when none is pending.
+func (j *Journal) flush() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.pending > j.durable {
+		_ = j.syncLocked() // a failed flush is retried at the next tick
 	}
-}
-
-// stopFlusher stops the flusher goroutine, once.
-func (j *Journal) stopFlusher() {
-	j.stopOnce.Do(func() { close(j.stopSync) })
-	j.syncWG.Wait()
 }
 
 // Sync fsyncs every record appended so far regardless of policy — the drain
@@ -441,7 +427,7 @@ func (j *Journal) Kill() {
 	if !j.killed.CompareAndSwap(false, true) {
 		return
 	}
-	j.stopFlusher()
+	j.flusher.Stop()
 	j.mu.Lock()
 	if !j.closed {
 		j.closed = true
@@ -458,7 +444,7 @@ func (j *Journal) Close() error {
 	if j.killed.Load() {
 		return ErrKilled
 	}
-	j.stopFlusher()
+	j.flusher.Stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {

@@ -44,7 +44,7 @@ type Ledger[R, S any] struct {
 
 // OpenLedger recovers dir and hands the decoded snapshot and records to
 // tier.Replay, then opens the journal for appending and registers the
-// /journal/* counters on reg.
+// /journal/* counters and the flusher's /loops{journal-flush}/ pair on reg.
 func OpenLedger[R, S any](dir string, opts Options, reg *counters.Registry, tier Tier[R, S]) (*Ledger[R, S], error) {
 	rec, err := Recover(dir)
 	if err != nil {
@@ -82,6 +82,7 @@ func OpenLedger[R, S any](dir string, opts Options, reg *counters.Registry, tier
 	torn.Add(int64(rec.TornTruncations))
 	reg.MustRegister(l.recovered)
 	reg.MustRegister(torn)
+	j.flushMeter.Register(reg)
 	for _, c := range []struct {
 		name string
 		read func() int64

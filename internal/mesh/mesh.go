@@ -24,7 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strings"
@@ -35,6 +35,7 @@ import (
 	"taskgrain/internal/config"
 	"taskgrain/internal/counters"
 	"taskgrain/internal/journal"
+	"taskgrain/internal/loop"
 	"taskgrain/internal/policyengine"
 	"taskgrain/internal/telemetry"
 	"taskgrain/internal/trace"
@@ -45,31 +46,6 @@ import (
 // thousand jobs' hops however long the gateway has run; the trace output
 // reports how many older events the ring has overwritten.
 const traceEventLimit = 16_384
-
-// lockedRand is the gateway's own mutex-guarded PRNG, used for backoff
-// jitter and instance-tag minting. A mesh-local source keeps the jitter
-// stream off the global math/rand mutex on the submission hot path and
-// independent of any other rand consumer in the process.
-type lockedRand struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-func newLockedRand() *lockedRand {
-	return &lockedRand{r: rand.New(rand.NewSource(time.Now().UnixNano()))}
-}
-
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Int63n(n)
-}
-
-func (l *lockedRand) Uint32() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Uint32()
-}
 
 // Mesh is the cluster dispatch gateway.
 type Mesh struct {
@@ -88,15 +64,13 @@ type Mesh struct {
 	router *router
 	jobs   *meshStore
 
-	id        string // gateway instance tag, prefixed onto idempotency keys
-	rng       *lockedRand
-	startTime time.Time
-	started   bool
-	mu        sync.Mutex
+	id        string    // gateway instance tag, prefixed onto idempotency keys
+	startTime time.Time // set once in newMesh; the trace clock's zero
 
-	stopReaper chan struct{} // closed by Stop; ends the stale-job reaper
-	stopOnce   sync.Once
-	reaperWG   sync.WaitGroup
+	// sweeper runs sweep every staleSweepInterval once Start has run.
+	startOnce  sync.Once
+	sweepMeter loop.Meter
+	sweeper    *loop.Loop
 
 	// wal journals placement epochs and terminal observations when
 	// cfg.JournalDir is set, so a restarted gateway still knows where every
@@ -145,7 +119,6 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := newLockedRand()
 	m := &Mesh{
 		cfg:    cfg,
 		policy: policy,
@@ -158,9 +131,9 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 		},
 		reg:            counters.NewRegistry(),
 		jobs:           newMeshStore(retain),
-		id:             fmt.Sprintf("%08x", rng.Uint32()),
-		rng:            rng,
-		stopReaper:     make(chan struct{}),
+		id:             fmt.Sprintf("%08x", rand.Uint32()),
+		startTime:      time.Now(),
+		sweepMeter:     loop.NewMeter("gateway-sweep"),
 		tracer:         trace.New(traceEventLimit),
 		submitted:      counters.NewCumulative("/mesh/jobs/submitted"),
 		rejected:       counters.NewCumulative("/mesh/jobs/rejected"),
@@ -173,6 +146,7 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 		hintsPushed:    counters.NewCumulative("/mesh/control/hints-pushed"),
 	}
 	m.rec = policyengine.NewRecorder(m.reg, 0)
+	m.sweepMeter.Register(m.reg)
 	m.reg.MustRegister(m.hintsPushed)
 	m.reg.MustRegister(m.submitted)
 	m.reg.MustRegister(m.rejected)
@@ -273,27 +247,20 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 }
 
 // Start sweeps the node set once (so routing works immediately) and launches
-// the heartbeat loops and the stale-job reaper.
+// the heartbeat loops, the sampler and the stale-job sweeper, once.
 func (m *Mesh) Start() {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		return
-	}
-	m.started = true
-	m.startTime = time.Now()
-	m.mu.Unlock()
-	m.nodes.Start()
-	m.sampler.Start()
-	m.reaperWG.Add(1)
-	go m.reapStale()
+	m.startOnce.Do(func() {
+		m.nodes.Start()
+		m.sampler.Start()
+		m.sweeper = m.sweepMeter.Every(staleSweepInterval, m.sweep)
+	})
 }
 
-// Stop terminates the heartbeat loops and the stale-job reaper. In-flight
+// Stop terminates the heartbeat loops, the sampler and the sweeper. In-flight
 // relayed requests are not interrupted.
 func (m *Mesh) Stop() {
-	m.stopOnce.Do(func() { close(m.stopReaper) })
-	m.reaperWG.Wait()
+	m.startOnce.Do(func() {}) // orders this read of m.sweeper after Start's write
+	m.sweeper.Stop()
 	m.sampler.Stop()
 	m.nodes.Stop()
 	if m.wal != nil {
@@ -309,21 +276,6 @@ func (m *Mesh) Crash() {
 		m.wal.Kill()
 	}
 	m.Stop()
-}
-
-// reapStale runs sweep once per staleSweepInterval until Stop.
-func (m *Mesh) reapStale() {
-	defer m.reaperWG.Done()
-	tick := time.NewTicker(staleSweepInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.stopReaper:
-			return
-		case <-tick.C:
-			m.sweep()
-		}
-	}
 }
 
 // sweep evicts non-terminal jobs no client has touched for staleJobAge —
@@ -512,17 +464,8 @@ func (m *Mesh) traceSpan(kind trace.Kind, n *Node, job *meshJob) {
 	})
 }
 
-// traceNow stamps trace events with nanoseconds since gateway start (the
-// wall clock before Start, so pre-start events still order correctly).
-func (m *Mesh) traceNow() int64 {
-	m.mu.Lock()
-	start := m.startTime
-	m.mu.Unlock()
-	if start.IsZero() {
-		return time.Now().UnixNano()
-	}
-	return time.Since(start).Nanoseconds()
-}
+// traceNow stamps trace events with nanoseconds since the gateway was built.
+func (m *Mesh) traceNow() int64 { return time.Since(m.startTime).Nanoseconds() }
 
 // Stats is the gateway-level status served by GET /v1/stats.
 type Stats struct {
@@ -538,15 +481,8 @@ type Stats struct {
 
 // StatsSnapshot snapshots the gateway state.
 func (m *Mesh) StatsSnapshot() Stats {
-	m.mu.Lock()
-	start := m.startTime
-	m.mu.Unlock()
-	uptime := 0.0
-	if !start.IsZero() {
-		uptime = time.Since(start).Seconds()
-	}
 	return Stats{
-		UptimeSeconds: uptime,
+		UptimeSeconds: time.Since(m.startTime).Seconds(),
 		Policy:        string(m.policy),
 		Nodes:         m.nodes.Statuses(),
 		Submitted:     m.submitted.Raw(),

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"time"
 
@@ -374,7 +375,7 @@ func (m *Mesh) backoff(ctx context.Context, hint time.Duration) bool {
 	if base > m.cfg.MaxBackoff {
 		base = m.cfg.MaxBackoff
 	}
-	d := base/2 + time.Duration(m.rng.Int63n(int64(base/2)+1))
+	d := base/2 + time.Duration(rand.Int64N(int64(base/2)+1))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -12,6 +12,7 @@ import (
 
 	"taskgrain/internal/config"
 	"taskgrain/internal/counters"
+	"taskgrain/internal/loop"
 )
 
 // NodeState is one node's health as seen by the registry.
@@ -203,9 +204,11 @@ type Registry struct {
 	// rejoins the routing set. The gateway hangs its grain-hint push here.
 	onJoin func(*Node)
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// One heartbeat loop per node, so a node that hangs its GETs delays
+	// only its own verdicts; all of them count into one meter.
+	startOnce sync.Once
+	meter     loop.Meter
+	loops     []*loop.Loop
 }
 
 // normalizeBase canonicalizes a node address: scheme added if missing,
@@ -219,15 +222,16 @@ func normalizeBase(addr string) string {
 }
 
 // newRegistry builds the node set from the configuration and registers the
-// per-node routing counters in reg.
+// per-node routing counters and the /loops{heartbeat}/ pair in reg.
 func newRegistry(cfg config.Mesh, client *http.Client, reg *counters.Registry) (*Registry, error) {
 	r := &Registry{
 		client:    client,
 		interval:  cfg.HeartbeatInterval,
 		downAfter: cfg.DownAfter,
 		timeout:   cfg.RequestTimeout,
-		stop:      make(chan struct{}),
+		meter:     loop.NewMeter("heartbeat"),
 	}
+	r.meter.Register(reg)
 	seen := make(map[string]bool)
 	for _, addr := range cfg.Nodes {
 		base := normalizeBase(addr)
@@ -307,32 +311,23 @@ func (r *Registry) Statuses() []NodeStatus {
 }
 
 // Start performs one synchronous sweep (so the gateway can route immediately
-// after construction) and launches the per-node heartbeat loops.
+// after construction) and launches the per-node heartbeat loops, once.
 func (r *Registry) Start() {
-	r.Sweep()
-	for _, n := range r.nodes {
-		n := n
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			tick := time.NewTicker(r.interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-r.stop:
-					return
-				case <-tick.C:
-					r.heartbeat(n)
-				}
-			}
-		}()
-	}
+	r.startOnce.Do(func() {
+		r.Sweep()
+		for _, n := range r.nodes {
+			r.loops = append(r.loops, r.meter.Every(r.interval, func() { r.heartbeat(n) }))
+		}
+	})
 }
 
-// Stop terminates the heartbeat loops and waits for them to exit.
+// Stop terminates the heartbeat loops and waits for them to exit; a registry
+// stopped before Start never starts.
 func (r *Registry) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.wg.Wait()
+	r.startOnce.Do(func() {}) // orders this read of r.loops after Start's writes
+	for _, l := range r.loops {
+		l.Stop()
+	}
 }
 
 // Sweep heartbeats every node once, concurrently, returning when all
@@ -340,7 +335,6 @@ func (r *Registry) Stop() {
 func (r *Registry) Sweep() {
 	var wg sync.WaitGroup
 	for _, n := range r.nodes {
-		n := n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

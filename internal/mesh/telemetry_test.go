@@ -46,6 +46,28 @@ func fetchOpenMetrics(t *testing.T, gw, path string) string {
 	return string(raw)
 }
 
+// TestGatewayLoopCounters: the gateway's background loops count on its own
+// registry, and the per-node heartbeat loops all add into one pair.
+func TestGatewayLoopCounters(t *testing.T) {
+	n1, n2 := newFakeNode(t), newFakeNode(t)
+	cfg := testMeshConfig(n1.ts.URL, n2.ts.URL)
+	cfg.JournalDir = t.TempDir()
+	m, _ := startMesh(t, cfg)
+	reg := m.Counters()
+	for _, name := range []string{"heartbeat", "gateway-sweep", "telemetry-sample", "journal-flush"} {
+		for _, leaf := range []string{"count/runs", "time/busy"} {
+			if _, ok := reg.Get("/loops{" + name + "}/" + leaf); !ok {
+				t.Fatalf("/loops{%s}/%s not registered", name, leaf)
+			}
+		}
+	}
+	waitFor(t, 5*time.Second, "both nodes' heartbeats to count into one pair", func() bool {
+		beats, _ := reg.Value("/loops{heartbeat}/count/runs")
+		busy, _ := reg.Value("/loops{heartbeat}/time/busy")
+		return beats >= 4 && busy > 0
+	})
+}
+
 func TestMeshMetricsEndpointsServeOpenMetrics(t *testing.T) {
 	n1, n2 := newFakeNode(t), newFakeNode(t)
 	for _, f := range []*fakeNode{n1, n2} {

@@ -170,7 +170,7 @@ func buildServeNode(t *testing.T, mutate func(*config.Server)) *taskserve.Server
 	t.Helper()
 	cfg := config.DefaultServer()
 	cfg.Workers = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	cfg.ShedMinTasks = 1e12 // keep admission out of routing tests
 	if mutate != nil {
 		mutate(&cfg)

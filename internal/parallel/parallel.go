@@ -3,15 +3,12 @@
 // its methodology with ("In parallel applications, with regular parallel
 // loops, we can easily modify grain size statically to improve
 // performance", Sec. II). Every algorithm takes an explicit grain: the
-// number of consecutive iterations per task. TunedLoop closes the paper's
-// loop by adjusting that grain between invocations from live counters.
+// number of consecutive iterations per task.
 package parallel
 
 import (
-	"fmt"
 	"sync"
 
-	"taskgrain/internal/adaptive"
 	"taskgrain/internal/taskrt"
 )
 
@@ -128,47 +125,4 @@ func Reduce[T any](rt *taskrt.Runtime, in []T, grain int, identity T, combine fu
 		acc = combine(acc, p)
 	}
 	return acc
-}
-
-// TunedLoop is a parallel-for whose grain adapts between invocations using
-// the paper's metrics: each call snapshots the counters, runs at the
-// current grain, and feeds the interval idle-rate plus the exact parallel
-// slack (the chunk count) to the adaptive tuner.
-type TunedLoop struct {
-	rt    *taskrt.Runtime
-	tuner *adaptive.Tuner
-	grain int
-}
-
-// NewTunedLoop builds a tuned loop starting at startGrain. cfg bounds the
-// grain; zero-valued fields take the adaptive package defaults.
-func NewTunedLoop(rt *taskrt.Runtime, cfg adaptive.Config, startGrain int) (*TunedLoop, error) {
-	if startGrain < 1 {
-		return nil, fmt.Errorf("parallel: startGrain = %d", startGrain)
-	}
-	tuner, err := adaptive.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &TunedLoop{rt: rt, tuner: tuner, grain: startGrain}, nil
-}
-
-// Grain returns the grain the next For call will use.
-func (l *TunedLoop) Grain() int { return l.grain }
-
-// For runs one tuned iteration space and returns the tuning decision taken
-// afterwards.
-func (l *TunedLoop) For(n int, body func(i int)) adaptive.Decision {
-	if n <= 0 {
-		return adaptive.Keep
-	}
-	before := l.rt.Counters().Snapshot()
-	For(l.rt, n, l.grain, body)
-	after := l.rt.Counters().Snapshot()
-	nChunks := (n + l.grain - 1) / l.grain
-	obs := adaptive.ObservationFromSnapshots(before, after, l.grain, l.rt.Workers(), 1)
-	obs.Tasks = float64(nChunks) // exact parallel slack, better than inference
-	next, decision := l.tuner.Next(obs)
-	l.grain = next
-	return decision
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"taskgrain/internal/adaptive"
 	"taskgrain/internal/taskrt"
 )
 
@@ -151,63 +150,6 @@ func TestQuickReduceSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNewTunedLoopValidation(t *testing.T) {
-	rt := newRT(t, 2)
-	if _, err := NewTunedLoop(rt, adaptive.Config{MinPartition: 1, MaxPartition: 100}, 0); err == nil {
-		t.Error("startGrain 0 accepted")
-	}
-	if _, err := NewTunedLoop(rt, adaptive.Config{MinPartition: 0, MaxPartition: 100}, 5); err == nil {
-		t.Error("bad tuner config accepted")
-	}
-}
-
-func TestTunedLoopGrowsOutOfFineGrain(t *testing.T) {
-	rt := newRT(t, 2)
-	loop, err := NewTunedLoop(rt, adaptive.Config{
-		MinPartition: 1, MaxPartition: 1 << 20, HighIdle: 0.05,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20000
-	work := func(i int) {
-		s := 0
-		for k := 0; k < 50; k++ {
-			s += k * i
-		}
-		_ = s
-	}
-	start := loop.Grain()
-	for round := 0; round < 12; round++ {
-		if dec := loop.For(n, work); dec == adaptive.Keep {
-			break
-		}
-	}
-	if loop.Grain() <= start {
-		t.Fatalf("grain did not grow from %d (now %d)", start, loop.Grain())
-	}
-	// Correctness is never sacrificed: one more full pass covers all indices.
-	var covered atomic.Int64
-	loop.For(n, func(int) { covered.Add(1) })
-	if covered.Load() != n {
-		t.Fatalf("covered %d of %d", covered.Load(), n)
-	}
-}
-
-func TestTunedLoopEmptyRange(t *testing.T) {
-	rt := newRT(t, 1)
-	loop, err := NewTunedLoop(rt, adaptive.Config{MinPartition: 1, MaxPartition: 100}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec := loop.For(0, func(int) {}); dec != adaptive.Keep {
-		t.Fatalf("empty range decision = %v", dec)
-	}
-	if loop.Grain() != 10 {
-		t.Fatalf("grain changed on empty range: %d", loop.Grain())
 	}
 }
 

@@ -5,47 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"taskgrain/internal/adaptive"
 	"taskgrain/internal/telemetry"
 )
-
-// GrainPolicy drives the adaptive grain tuner from engine samples — the
-// paper's metrics steering its proposed auto-tuning loop. Generations is
-// how many dependency waves one sampling interval spans (used to convert
-// the interval task count into parallel slack); for a parallel-for style
-// application this is 1.
-type GrainPolicy struct {
-	Tuner *adaptive.Tuner
-	// Generations per sampling interval (default 1).
-	Generations int
-}
-
-// Name implements Policy.
-func (g *GrainPolicy) Name() string { return "grain" }
-
-// Evaluate implements Policy.
-func (g *GrainPolicy) Evaluate(s Sample) []Action {
-	if g.Tuner == nil || s.Grain <= 0 || s.Tasks <= 0 {
-		return nil
-	}
-	gen := g.Generations
-	if gen < 1 {
-		gen = 1
-	}
-	next, dec := g.Tuner.Next(adaptive.Observation{
-		PartitionSize: s.Grain,
-		IdleRate:      s.IdleRate,
-		Tasks:         s.Tasks / float64(gen),
-		Cores:         s.ActiveWorkers,
-	})
-	if dec == adaptive.Keep || next == s.Grain {
-		return nil
-	}
-	return []Action{{
-		SetGrain: next,
-		Note:     fmt.Sprintf("grain: %s %d -> %d (idle %.0f%%)", dec, s.Grain, next, s.IdleRate*100),
-	}}
-}
 
 // WatchdogPolicy closes the loop the telemetry watchdog used to dead-end:
 // it evaluates the watchdog over the telemetry ring on every engine sample,

@@ -68,8 +68,6 @@ type Sample struct {
 	ActiveWorkers int
 	// MaxWorkers is the machine ceiling.
 	MaxWorkers int
-	// Grain is the current grain the scalar grain actuator reports (0 if none).
-	Grain int
 	// Grains is the current grain per registered kind (nil if none).
 	Grains map[string]int
 	// Elapsed is the interval length.
@@ -78,10 +76,9 @@ type Sample struct {
 
 // Action is one adjustment a policy requests.
 type Action struct {
-	// SetGrain, when > 0, asks a grain actuator for a new grain.
+	// SetGrain, when > 0, asks the GrainKind controller for a new grain.
 	SetGrain int
-	// GrainKind routes SetGrain to a registered per-kind controller; empty
-	// means the scalar Actuators.SetGrain knob.
+	// GrainKind names the registered per-kind controller SetGrain moves.
 	GrainKind string
 	// SetActiveWorkers, when > 0, asks the throttle actuator for a level.
 	SetActiveWorkers int
@@ -109,13 +106,9 @@ func (p PolicyFunc) Name() string { return p.PolicyName }
 // Evaluate implements Policy.
 func (p PolicyFunc) Evaluate(s Sample) []Action { return p.Fn(s) }
 
-// Actuators connect the engine to the runtime knobs. Nil members disable
-// the corresponding action kind.
+// Actuators connect the engine to the runtime's worker throttle. Nil members
+// disable it; grain moves go to the controllers RegisterGrain hands over.
 type Actuators struct {
-	// SetGrain applies a new grain size (the application-level knob).
-	SetGrain func(int)
-	// Grain reports the current grain (for Sample.Grain).
-	Grain func() int
 	// SetActiveWorkers throttles the runtime (taskrt.Runtime.SetActiveWorkers).
 	SetActiveWorkers func(int)
 	// ActiveWorkers reports the current throttle level.
@@ -144,8 +137,8 @@ const hintMaxObservations = 3
 
 // Engine is the control plane core: it turns counter samples into interval
 // metrics, runs policies over them, and routes the resulting actions to
-// actuators — the runtime's worker throttle, a scalar grain knob, and any
-// number of registered per-kind adaptive grain controllers.
+// actuators — the runtime's worker throttle and any number of registered
+// per-kind adaptive grain controllers.
 type Engine struct {
 	mu         sync.Mutex
 	reg        *counters.Registry
@@ -362,9 +355,6 @@ func (e *Engine) sample(ts telemetry.Sample) Sample {
 	} else {
 		s.ActiveWorkers = e.maxWorkers
 	}
-	if e.act.Grain != nil {
-		s.Grain = e.act.Grain()
-	}
 	if len(e.grains) > 0 {
 		s.Grains = make(map[string]int, len(e.grains))
 		for k, c := range e.grains {
@@ -405,21 +395,15 @@ func (e *Engine) applyLocked(at time.Time, policy string, a Action) {
 		e.rec.Record(Decision{At: at, Policy: policy, Action: desc, Mode: mode, Veto: veto})
 	}
 	if a.SetGrain > 0 {
+		ctl := e.grains[a.GrainKind]
 		switch {
 		case e.mode != ModeActuate:
 			record(DecisionAdvisory, "")
-		case a.GrainKind != "":
-			if ctl := e.grains[a.GrainKind]; ctl != nil {
-				ctl.SetGrain(a.SetGrain)
-				record(DecisionActuated, "")
-			} else {
-				record(DecisionVetoed, "unknown grain kind "+a.GrainKind)
-			}
-		case e.act.SetGrain != nil:
-			e.act.SetGrain(a.SetGrain)
+		case ctl != nil:
+			ctl.SetGrain(a.SetGrain)
 			record(DecisionActuated, "")
 		default:
-			record(DecisionVetoed, "no grain actuator")
+			record(DecisionVetoed, "unknown grain kind "+a.GrainKind)
 		}
 	}
 	if a.SetActiveWorkers > 0 {

@@ -78,7 +78,6 @@ func TestSampleDerivation(t *testing.T) {
 	active.Store(4)
 	e, err := New(Options{Registry: f.reg, MaxWorkers: 8, Actuators: Actuators{
 		ActiveWorkers: func() int { return int(active.Load()) },
-		Grain:         func() int { return 1234 },
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestSampleDerivation(t *testing.T) {
 	if s.PendingMissRate != 0.5 {
 		t.Errorf("miss rate = %v", s.PendingMissRate)
 	}
-	if s.ActiveWorkers != 4 || s.MaxWorkers != 8 || s.Grain != 1234 {
+	if s.ActiveWorkers != 4 || s.MaxWorkers != 8 {
 		t.Errorf("sample = %+v", s)
 	}
 	if s.At.IsZero() {
@@ -182,52 +181,42 @@ func TestThrottleConfigValidate(t *testing.T) {
 	}
 }
 
-func TestGrainPolicy(t *testing.T) {
-	tuner, err := adaptive.New(adaptive.Config{MinPartition: 100, MaxPartition: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &GrainPolicy{Tuner: tuner}
-	// Overhead wall with plenty of slack → grow.
-	acts := p.Evaluate(Sample{IdleRate: 0.9, Tasks: 10000, Grain: 1000, ActiveWorkers: 8})
-	if len(acts) != 1 || acts[0].SetGrain != 2000 {
-		t.Fatalf("actions = %+v", acts)
-	}
-	// No grain actuator wired → no action.
-	if acts = p.Evaluate(Sample{IdleRate: 0.9, Tasks: 10000, Grain: 0}); len(acts) != 0 {
-		t.Fatalf("grainless actions = %+v", acts)
-	}
-	// In band → no action.
-	if acts = p.Evaluate(Sample{IdleRate: 0.1, Tasks: 10000, Grain: 1000, ActiveWorkers: 8}); len(acts) != 0 {
-		t.Fatalf("band actions = %+v", acts)
-	}
-}
-
 func TestEngineAppliesActions(t *testing.T) {
 	f := newFake(t)
-	var grain atomic.Int64
-	grain.Store(1000)
 	var workers atomic.Int64
 	workers.Store(8)
 	e, err := New(Options{Registry: f.reg, MaxWorkers: 8, Actuators: Actuators{
-		SetGrain:         func(g int) { grain.Store(int64(g)) },
-		Grain:            func() int { return int(grain.Load()) },
 		SetActiveWorkers: func(n int) { workers.Store(int64(n)) },
 		ActiveWorkers:    func() int { return int(workers.Load()) },
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner, _ := adaptive.New(adaptive.Config{MinPartition: 100, MaxPartition: 1 << 20})
-	e.AddPolicy(&GrainPolicy{Tuner: tuner})
+	ctl, err := adaptive.NewController(adaptive.Config{MinPartition: 100, MaxPartition: 1 << 20}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterGrain("stencil1d", ctl)
+	// A grain policy over the per-kind grains the sample carries: double
+	// every kind while the interval sits on the overhead wall.
+	e.AddPolicy(PolicyFunc{PolicyName: "grain", Fn: func(s Sample) []Action {
+		if s.IdleRate <= 0.6 {
+			return nil
+		}
+		var acts []Action
+		for kind, g := range s.Grains {
+			acts = append(acts, Action{SetGrain: 2 * g, GrainKind: kind, Note: "grow " + kind})
+		}
+		return acts
+	}})
 	e.AddPolicy(&ThrottlePolicy{})
 
 	// Interval deep in the overhead wall: grain should grow AND the
 	// throttle should pull a worker (idle 0.9 > 0.6).
 	f.interval(0.9, 10000)
 	_, acts := e.Step()
-	if grain.Load() != 2000 {
-		t.Fatalf("grain = %d after actions %+v", grain.Load(), acts)
+	if g := e.Grain("stencil1d"); g != 2000 {
+		t.Fatalf("grain = %d after actions %+v", g, acts)
 	}
 	if workers.Load() != 7 {
 		t.Fatalf("workers = %d after actions %+v", workers.Load(), acts)

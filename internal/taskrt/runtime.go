@@ -29,8 +29,6 @@ type Config struct {
 	// StagedBatch is how many staged tasks a worker converts to pending per
 	// refill (HPX's add-new batch). Defaults to 8.
 	StagedBatch int
-	// LockOSThread pins each worker goroutine to an OS thread.
-	LockOSThread bool
 	// PanicHandler, when set, receives the value recovered from a task
 	// phase that panicked. Panics are always contained to the task (the
 	// worker survives and the task terminates); without a handler the
@@ -72,9 +70,6 @@ func WithHighPriorityQueues(k int) Option { return func(c *Config) { c.HighPrior
 
 // WithStagedBatch sets the staged→pending conversion batch size.
 func WithStagedBatch(n int) Option { return func(c *Config) { c.StagedBatch = n } }
-
-// WithLockOSThread pins worker goroutines to OS threads.
-func WithLockOSThread(on bool) Option { return func(c *Config) { c.LockOSThread = on } }
 
 // WithPanicHandler installs a handler for panics recovered from task phases.
 func WithPanicHandler(h func(task *Task, recovered any)) Option {
@@ -553,10 +548,6 @@ func (rt *Runtime) taskDone() {
 // run it, account its time.
 func (rt *Runtime) workerLoop(w int) {
 	defer rt.wg.Done()
-	if rt.cfg.LockOSThread {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	rt.loopStart[w].Store(time.Now().UnixNano())
 	defer func() {
 		if start := rt.loopStart[w].Swap(0); start != 0 {

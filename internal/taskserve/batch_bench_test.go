@@ -27,7 +27,7 @@ func BenchmarkX15BatchSubmit(b *testing.B) {
 			cfg.MaxConcurrentJobs = 4
 			cfg.MaxQueuedJobs = 1 << 18
 			cfg.MaxBatchJobs = 256
-			cfg.SampleInterval = 5 * time.Millisecond
+			cfg.TelemetryInterval = 5 * time.Millisecond
 			cfg.ShedMinTasks = 1e12
 			cfg.JournalDir = b.TempDir()
 			cfg.JournalFsync = "always"

@@ -42,7 +42,7 @@ func BenchmarkX16ControlLoop(b *testing.B) {
 			cfg.Workers = 2
 			cfg.MaxConcurrentJobs = 1
 			cfg.MaxQueuedJobs = 1 << 18
-			cfg.SampleInterval = 5 * time.Millisecond
+			cfg.TelemetryInterval = 5 * time.Millisecond
 			cfg.ShedMinTasks = 1e12
 			cfg.ControlMode = string(v.mode)
 			s, err := New(cfg)

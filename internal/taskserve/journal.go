@@ -231,25 +231,12 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// sweeper TTL-evicts terminal jobs and mirrors each eviction with a journal
-// compaction, so neither the store nor the journal grows without bound on a
-// long-lived daemon.
-func (s *Server) sweeper() {
-	defer s.sweepWG.Done()
-	tick := s.cfg.TerminalTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSweep:
-			return
-		case <-t.C:
-			if n := s.store.evictTerminalOlderThan(time.Now().Add(-s.cfg.TerminalTTL)); n > 0 && s.wal != nil {
-				s.journalCompact()
-			}
-		}
+// sweepTerminal is the TTL sweeper's body: it evicts terminal jobs older
+// than terminal_ttl and mirrors each eviction with a journal compaction, so
+// neither the store nor the journal grows without bound on a long-lived
+// daemon.
+func (s *Server) sweepTerminal() {
+	if n := s.store.evictTerminalOlderThan(time.Now().Add(-s.cfg.TerminalTTL)); n > 0 && s.wal != nil {
+		s.journalCompact()
 	}
 }

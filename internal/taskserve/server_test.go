@@ -22,7 +22,7 @@ func testConfig() config.Server {
 	cfg.Workers = 2
 	cfg.MaxQueuedJobs = 8
 	cfg.MaxConcurrentJobs = 2
-	cfg.SampleInterval = 5 * time.Millisecond
+	cfg.TelemetryInterval = 5 * time.Millisecond
 	cfg.RetryAfter = time.Second
 	// Make admission deterministic for the functional tests: the idle-rate
 	// overload signal depends on host timing, so the task-flow floor is set

@@ -25,6 +25,7 @@ import (
 	"taskgrain/internal/config"
 	"taskgrain/internal/counters"
 	"taskgrain/internal/journal"
+	"taskgrain/internal/loop"
 	"taskgrain/internal/policyengine"
 	"taskgrain/internal/taskrt"
 	"taskgrain/internal/telemetry"
@@ -74,10 +75,11 @@ type Server struct {
 	// wal is the write-ahead job journal (nil when journal_dir is unset):
 	// admissions are journaled before their 202 is issued, so every
 	// acknowledged job survives a crash-restart of the daemon.
-	wal       *journal.Ledger[walRecord, walSnapshot]
-	stopSweep chan struct{}
-	sweepOnce sync.Once
-	sweepWG   sync.WaitGroup
+	wal *journal.Ledger[walRecord, walSnapshot]
+
+	// sweeper TTL-evicts terminal jobs (nil when terminal_ttl is 0).
+	sweepMeter loop.Meter
+	sweeper    *loop.Loop
 }
 
 // New builds a server from the configuration. The runtime is owned by the
@@ -114,7 +116,7 @@ func New(cfg config.Server) (*Server, error) {
 		cancelledC: counters.NewCumulative("/server/jobs/cancelled"),
 		shed:       counters.NewCumulative("/server/jobs/shed"),
 		traced:     counters.NewCumulative("/server/trace/propagated"),
-		stopSweep:  make(chan struct{}),
+		sweepMeter: loop.NewMeter("ttl-sweep"),
 
 		batchSubmitted: counters.NewCumulative("/server/batch/submitted"),
 		batchJobs:      counters.NewCumulative("/server/batch/jobs"),
@@ -172,6 +174,7 @@ func New(cfg config.Server) (*Server, error) {
 	reg.MustRegister(s.batchSubmitted)
 	reg.MustRegister(s.batchJobs)
 	reg.MustRegister(s.batchSheds)
+	s.sweepMeter.Register(reg)
 	reg.MustRegister(counters.NewDerived("/server/jobs/queued", func() float64 {
 		return float64(len(s.queue))
 	}))
@@ -221,8 +224,8 @@ func New(cfg config.Server) (*Server, error) {
 	}
 
 	// The watchdog re-states the admission controller's wall disambiguation
-	// over the telemetry window: ShedMinTasks is an interval task floor, so
-	// dividing by the sample interval converts it to the tasks-per-second
+	// over the telemetry window: ShedMinTasks is a task floor per sample, so
+	// dividing by the sampling interval converts it to the tasks-per-second
 	// flow floor the window delta is compared against.
 	s.watchdog = telemetry.NewWatchdog(telemetry.WatchdogConfig{
 		Subject:     "taskgraind " + cfg.Addr,
@@ -231,23 +234,18 @@ func New(cfg config.Server) (*Server, error) {
 		BusyCounter: "/server/tasks/inflight",
 		HighIdle:    cfg.HighIdle,
 		Window:      cfg.WatchdogWindow,
-		FlowFloor:   cfg.ShedMinTasks / cfg.SampleInterval.Seconds(),
+		FlowFloor:   cfg.ShedMinTasks / cfg.TelemetryInterval.Seconds(),
 		Logf:        log.Printf,
 	})
 	// One sampling path: the telemetry sampler is the control plane's only
-	// ticker. Each sample lands in the ring (history for /metrics and
+	// clock. Each sample lands in the ring (history for /metrics and
 	// /telemetry/*) and is then handed to the engine, which re-derives the
 	// interval metrics, evaluates the policies — admission, throttling, and
 	// the watchdog (whose grow/shrink verdicts become grain actions instead
-	// of dead-end alert strings) — and actuates per control_mode. The cadence
-	// is the faster of the two configured intervals so admission keeps its
-	// ShedMinTasks-per-SampleInterval semantics.
-	sampleEvery := cfg.SampleInterval
-	if cfg.TelemetryInterval < sampleEvery {
-		sampleEvery = cfg.TelemetryInterval
-	}
+	// of dead-end alert strings) — and actuates per control_mode. Admission
+	// and the watchdog therefore judge ShedMinTasks over the same interval.
 	s.sampler = telemetry.NewSampler(reg, telemetry.Config{
-		Interval: sampleEvery,
+		Interval: cfg.TelemetryInterval,
 		Capacity: cfg.TelemetryRing,
 		OnSample: func(ts telemetry.Sample) { s.eng.ObserveSample(ts) },
 	})
@@ -306,8 +304,7 @@ func (s *Server) Start() {
 		go s.runner()
 	}
 	if s.cfg.TerminalTTL > 0 {
-		s.sweepWG.Add(1)
-		go s.sweeper()
+		s.sweeper = s.sweepMeter.Every(max(s.cfg.TerminalTTL/4, 10*time.Millisecond), s.sweepTerminal)
 	}
 }
 
@@ -450,8 +447,7 @@ func (s *Server) Drain(ctx context.Context) (counters.Snapshot, error) {
 		return s.rt.Counters().Snapshot(), ctx.Err()
 	}
 	s.sampler.Stop()
-	s.sweepOnce.Do(func() { close(s.stopSweep) })
-	s.sweepWG.Wait()
+	s.sweeper.Stop()
 	// Flush durability last: with every runner finished the store is all
 	// terminal, so the compaction snapshot + fsync leaves a journal that
 	// recovers to an empty non-terminal set. Skipped after Crash — a killed

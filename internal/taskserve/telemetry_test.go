@@ -54,6 +54,44 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 	}
 }
 
+// TestNodeLoopCounters: every background loop of a journaled node counts
+// its runs and busy time on the runtime registry, and /metrics exports them
+// with the loop name as the instance label.
+func TestNodeLoopCounters(t *testing.T) {
+	cfg := testConfig()
+	cfg.JournalDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+	reg := s.Runtime().Counters()
+	for _, name := range []string{"telemetry-sample", "journal-flush", "ttl-sweep"} {
+		for _, leaf := range []string{"count/runs", "time/busy"} {
+			if _, ok := reg.Get("/loops{" + name + "}/" + leaf); !ok {
+				t.Fatalf("/loops{%s}/%s not registered", name, leaf)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		samples, _ := reg.Value("/loops{telemetry-sample}/count/runs")
+		flushes, _ := reg.Value("/loops{journal-flush}/count/runs")
+		if samples >= 2 && flushes >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("loops not counting: %v samples, %v flushes", samples, flushes)
+		}
+		<-time.After(5 * time.Millisecond)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(raw), `taskgrain_loops_count_runs_total{instance="journal-flush"`) {
+		t.Fatalf("journal-flush runs missing from /metrics:\n%s", raw)
+	}
+}
+
 func TestTelemetryAlertsAndSeriesEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
 	s.Telemetry().SampleNow()

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"taskgrain/internal/counters"
+	"taskgrain/internal/loop"
 )
 
 // Sample is one timestamped registry snapshot.
@@ -162,15 +163,16 @@ func mod(i, n int) int { return ((i % n) + n) % n }
 type Config struct {
 	// Interval is the sampling period (default 250ms).
 	Interval time.Duration
-	// Capacity is the ring size in samples (default 600 — 2.5 minutes of
-	// history at the default interval).
+	// Capacity is the ring size in samples (default 600); the ring holds
+	// Interval × Capacity of history.
 	Capacity int
 	// OnSample, when set, runs after each sample lands in the ring (on the
 	// sampler goroutine) — the hook the watchdog evaluates from.
 	OnSample func(Sample)
 }
 
-// Sampler polls a registry into a Ring on a fixed interval.
+// Sampler polls a registry into a Ring on a fixed interval. Its loop counts
+// itself on that registry as /loops{telemetry-sample}/.
 type Sampler struct {
 	reg      *counters.Registry
 	ring     *Ring
@@ -178,12 +180,11 @@ type Sampler struct {
 	onSample func(Sample)
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	meter     loop.Meter
+	tick      *loop.Loop
 }
 
-// NewSampler builds a sampler over reg.
+// NewSampler builds a sampler over reg and registers its loop counters there.
 func NewSampler(reg *counters.Registry, cfg Config) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
@@ -191,13 +192,15 @@ func NewSampler(reg *counters.Registry, cfg Config) *Sampler {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 600
 	}
-	return &Sampler{
+	s := &Sampler{
 		reg:      reg,
 		ring:     NewRing(cfg.Capacity),
 		interval: cfg.Interval,
 		onSample: cfg.OnSample,
-		stop:     make(chan struct{}),
+		meter:    loop.NewMeter("telemetry-sample"),
 	}
+	s.meter.Register(reg)
+	return s
 }
 
 // Ring returns the sample ring (shared with the sampler; safe to query
@@ -224,26 +227,13 @@ func (s *Sampler) SampleNow() Sample {
 func (s *Sampler) Start() {
 	s.startOnce.Do(func() {
 		s.SampleNow()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			tick := time.NewTicker(s.interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-s.stop:
-					return
-				case <-tick.C:
-					s.SampleNow()
-				}
-			}
-		}()
+		s.tick = s.meter.Every(s.interval, func() { s.SampleNow() })
 	})
 }
 
-// Stop terminates the sampling loop and waits for it to exit. The ring
-// remains queryable.
+// Stop terminates the sampling loop and waits for it to exit; a sampler
+// stopped before Start never starts. The ring remains queryable.
 func (s *Sampler) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	s.startOnce.Do(func() {}) // orders this read of s.tick after Start's write
+	s.tick.Stop()
 }
