@@ -21,9 +21,6 @@
 //	-control-mode <name>      control plane mode: actuate pushes cluster
 //	                          grain-consensus hints to rejoining nodes,
 //	                          advisory only logs them (default actuate)
-//	-telemetry-interval <dur> counter-ring sampling period (default 250ms)
-//	-telemetry-ring <n>       samples retained per counter (default 600)
-//	-watchdog-window <dur>    per-node idle watchdog window (default 5s)
 //	-journal-dir <path>       placement journal directory ("" = off): node
 //	                          placements and terminal observations are
 //	                          logged and replayed on gateway restart

@@ -28,18 +28,6 @@ type Common struct {
 	// ("actuate", the default) or only records them ("advisory").
 	ControlMode string `json:"control_mode,omitempty"`
 
-	// TelemetryInterval is the counter-sampling period of the telemetry
-	// ring (time-series history behind /metrics, /telemetry/* and the
-	// watchdogs). On a node the same samples drive admission and the policy
-	// engine, so it is also the control plane's period.
-	TelemetryInterval time.Duration `json:"telemetry_interval_ns"`
-	// TelemetryRing is the ring capacity in samples (history length =
-	// TelemetryInterval × TelemetryRing).
-	TelemetryRing int `json:"telemetry_ring"`
-	// WatchdogWindow is the sliding window an idle-rate must stay above
-	// tolerance for before a /telemetry/alerts condition fires.
-	WatchdogWindow time.Duration `json:"watchdog_window_ns"`
-
 	// JournalDir, when non-empty, enables the write-ahead journal
 	// (internal/journal) rooted at that directory: a node logs every job
 	// lifecycle transition, a gateway every placement epoch and terminal
@@ -65,9 +53,6 @@ func defaultCommon(addr string) Common {
 		Addr:                 addr,
 		MaxBatchJobs:         256,
 		ControlMode:          string(policyengine.ModeActuate),
-		TelemetryInterval:    250 * time.Millisecond,
-		TelemetryRing:        600,
-		WatchdogWindow:       5 * time.Second,
 		JournalFsync:         string(journal.FsyncInterval),
 		JournalSegmentBytes:  4 << 20,
 		JournalFsyncInterval: 2 * time.Millisecond,
@@ -81,12 +66,6 @@ func (c *Common) validate() error {
 		return fmt.Errorf("config: addr is empty")
 	case c.MaxBatchJobs < 1:
 		return fmt.Errorf("config: max_batch_jobs = %d", c.MaxBatchJobs)
-	case c.TelemetryInterval <= 0:
-		return fmt.Errorf("config: telemetry_interval = %v", c.TelemetryInterval)
-	case c.TelemetryRing < 2:
-		return fmt.Errorf("config: telemetry_ring = %d (need at least 2 samples for interval queries)", c.TelemetryRing)
-	case c.WatchdogWindow <= 0:
-		return fmt.Errorf("config: watchdog_window = %v", c.WatchdogWindow)
 	case c.JournalSegmentBytes < 1024:
 		return fmt.Errorf("config: journal_segment_bytes = %d (need at least 1KiB)", c.JournalSegmentBytes)
 	case c.JournalFsyncInterval <= 0:
@@ -123,9 +102,6 @@ func (c *Common) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "HTTP listen address")
 	fs.IntVar(&c.MaxBatchJobs, "max-batch-jobs", c.MaxBatchJobs, "largest accepted batch submission (specs per POST /v1/jobs/batch)")
 	fs.StringVar(&c.ControlMode, "control-mode", c.ControlMode, "control plane mode (advisory, actuate)")
-	fs.DurationVar(&c.TelemetryInterval, "telemetry-interval", c.TelemetryInterval, "telemetry ring sampling period")
-	fs.IntVar(&c.TelemetryRing, "telemetry-ring", c.TelemetryRing, "telemetry ring capacity (samples)")
-	fs.DurationVar(&c.WatchdogWindow, "watchdog-window", c.WatchdogWindow, "idle-rate watchdog sliding window")
 	fs.StringVar(&c.JournalDir, "journal-dir", c.JournalDir, "write-ahead journal directory (empty disables durability)")
 	fs.StringVar(&c.JournalFsync, "journal-fsync", c.JournalFsync, "journal fsync policy (always, interval, none)")
 	fs.Int64Var(&c.JournalSegmentBytes, "journal-segment-bytes", c.JournalSegmentBytes, "journal segment rotation size")

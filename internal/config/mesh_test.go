@@ -38,9 +38,6 @@ func TestMeshValidateRejections(t *testing.T) {
 		func(m *Mesh) { m.HedgeDelay = -time.Second },
 		func(m *Mesh) { m.FlowFloor = -1 },
 		func(m *Mesh) { m.RequestTimeout = 0 },
-		func(m *Mesh) { m.TelemetryInterval = 0 },
-		func(m *Mesh) { m.TelemetryRing = 1 },
-		func(m *Mesh) { m.WatchdogWindow = 0 },
 		func(m *Mesh) { m.JournalFsync = "sometimes" },
 		func(m *Mesh) { m.JournalSegmentBytes = 100 },
 		func(m *Mesh) { m.JournalFsyncInterval = -time.Millisecond },
@@ -66,9 +63,6 @@ func TestMeshApplyEnv(t *testing.T) {
 		"TASKMESHD_HEDGE_DELAY":        "250ms",
 		"TASKMESHD_REQUEST_TIMEOUT":    "9s",
 		"TASKMESHD_FLOW_FLOOR":         "4",
-		"TASKMESHD_TELEMETRY_INTERVAL": "80ms",
-		"TASKMESHD_TELEMETRY_RING":     "33",
-		"TASKMESHD_WATCHDOG_WINDOW":    "6s",
 	}
 	m := DefaultMesh()
 	if err := m.ApplyEnv(func(k string) (string, bool) { v, ok := env[k]; return v, ok }); err != nil {
@@ -83,9 +77,6 @@ func TestMeshApplyEnv(t *testing.T) {
 	if m.HeartbeatInterval != 100*time.Millisecond || m.MaxBackoff != 2*time.Second ||
 		m.HedgeDelay != 250*time.Millisecond || m.RequestTimeout != 9*time.Second || m.FlowFloor != 4 {
 		t.Fatalf("durations/floats not applied: %+v", m)
-	}
-	if m.TelemetryInterval != 80*time.Millisecond || m.TelemetryRing != 33 || m.WatchdogWindow != 6*time.Second {
-		t.Fatalf("telemetry env not applied: %+v", m)
 	}
 
 	if err := m.ApplyEnv(func(k string) (string, bool) {

@@ -38,6 +38,18 @@ type Server struct {
 	// Policy is the scheduling policy name (default priority-local-fifo).
 	Policy string `json:"policy,omitempty"`
 
+	// TelemetryInterval is the counter-sampling period: each sample lands in
+	// the telemetry ring (history behind /telemetry/series) and drives
+	// admission, the policy engine and the watchdog, so it is also the
+	// control plane's period.
+	TelemetryInterval time.Duration `json:"telemetry_interval_ns"`
+	// TelemetryRing is the ring capacity in samples (history length =
+	// TelemetryInterval × TelemetryRing).
+	TelemetryRing int `json:"telemetry_ring"`
+	// WatchdogWindow is the sliding window an idle-rate must stay above
+	// tolerance for before a /telemetry/alerts condition fires.
+	WatchdogWindow time.Duration `json:"watchdog_window_ns"`
+
 	// MaxQueuedJobs bounds jobs admitted but not yet running; submissions
 	// beyond it are shed with 429.
 	MaxQueuedJobs int `json:"max_queued_jobs"`
@@ -79,15 +91,16 @@ type Server struct {
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
 }
 
-// DefaultServer returns the taskgraind defaults. A node samples every 50ms
-// rather than the gateway's 250ms: its one sampler also drives admission and
-// the policy engine, which must react within a few jobs.
+// DefaultServer returns the taskgraind defaults. A node samples every 50ms:
+// its one sampler drives admission and the policy engine, which must react
+// within a few jobs.
 func DefaultServer() Server {
-	common := defaultCommon(":8080")
-	common.TelemetryInterval = 50 * time.Millisecond
 	return Server{
-		Common:            common,
+		Common:            defaultCommon(":8080"),
 		Policy:            "priority-local-fifo",
+		TelemetryInterval: 50 * time.Millisecond,
+		TelemetryRing:     600,
+		WatchdogWindow:    5 * time.Second,
 		MaxQueuedJobs:     64,
 		MaxConcurrentJobs: 4,
 		MaxInflightTasks:  100_000,
@@ -108,6 +121,12 @@ func (s *Server) Validate() error {
 	switch {
 	case s.Workers < 0:
 		return fmt.Errorf("config: server workers = %d", s.Workers)
+	case s.TelemetryInterval <= 0:
+		return fmt.Errorf("config: telemetry_interval = %v", s.TelemetryInterval)
+	case s.TelemetryRing < 2:
+		return fmt.Errorf("config: telemetry_ring = %d (need at least 2 samples for interval queries)", s.TelemetryRing)
+	case s.WatchdogWindow <= 0:
+		return fmt.Errorf("config: watchdog_window = %v", s.WatchdogWindow)
 	case s.MaxQueuedJobs < 1:
 		return fmt.Errorf("config: max_queued_jobs = %d", s.MaxQueuedJobs)
 	case s.MaxConcurrentJobs < 1:
@@ -177,6 +196,9 @@ func (s *Server) Flags(fs *flag.FlagSet) {
 	s.Common.flags(fs)
 	fs.IntVar(&s.Workers, "workers", s.Workers, "runtime workers (0 = GOMAXPROCS)")
 	fs.StringVar(&s.Policy, "policy", s.policyName(), "scheduling policy")
+	fs.DurationVar(&s.TelemetryInterval, "telemetry-interval", s.TelemetryInterval, "counter sampling period (telemetry ring, admission, policy engine)")
+	fs.IntVar(&s.TelemetryRing, "telemetry-ring", s.TelemetryRing, "telemetry ring capacity (samples)")
+	fs.DurationVar(&s.WatchdogWindow, "watchdog-window", s.WatchdogWindow, "idle-rate watchdog sliding window")
 	fs.IntVar(&s.MaxQueuedJobs, "max-queued-jobs", s.MaxQueuedJobs, "admission bound on queued jobs")
 	fs.IntVar(&s.MaxConcurrentJobs, "max-concurrent-jobs", s.MaxConcurrentJobs, "jobs running concurrently")
 	fs.Int64Var(&s.MaxInflightTasks, "max-inflight-tasks", s.MaxInflightTasks, "admission bound on runtime task backlog")

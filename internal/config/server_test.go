@@ -180,12 +180,17 @@ func TestServerLoadRejectsUnknownFields(t *testing.T) {
 }
 
 // TestTelemetryIntervalDefaults: a node's one sampling interval defaults to
-// the control plane's 50ms; the gateway keeps the ring's 250ms.
+// the control plane's 50ms. The gateway samples nothing — it relays node
+// watchdog verdicts from its heartbeats — so a gateway file carrying the
+// node's sampling keys fails to load instead of being silently ignored.
 func TestTelemetryIntervalDefaults(t *testing.T) {
 	if got := DefaultServer().TelemetryInterval; got != 50*time.Millisecond {
 		t.Fatalf("node telemetry_interval = %v, want 50ms", got)
 	}
-	if got := DefaultMesh().TelemetryInterval; got != 250*time.Millisecond {
-		t.Fatalf("gateway telemetry_interval = %v, want 250ms", got)
+	for _, key := range []string{"telemetry_interval_ns", "telemetry_ring", "watchdog_window_ns"} {
+		in := `{"nodes":["http://n1:1"],"` + key + `":1}`
+		if _, err := LoadMesh(strings.NewReader(in)); err == nil {
+			t.Fatalf("LoadMesh accepted the node-only key %s", key)
+		}
 	}
 }

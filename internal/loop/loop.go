@@ -1,5 +1,5 @@
 // Package loop is the one runner for periodic background work: the journal
-// flusher, the telemetry samplers, the mesh heartbeats and both sweepers
+// flusher, the node's telemetry sampler, the mesh heartbeats and both sweepers
 // start through Meter.Every and stop through Loop.Stop. Every loop name
 // exports what it costs, in the counter idiom the rest of the stack uses:
 //

@@ -15,8 +15,9 @@ import (
 // nodes serve (so clients are oblivious to the mesh), plus the mesh-only
 // node and stats views, the telemetry exports (/metrics for the gateway's
 // own counters, /mesh/metrics for the cluster rollup plus every member
-// node's last heartbeat snapshot, /telemetry/alerts for the per-node idle
-// watchdogs, /mesh/trace for the cross-hop Chrome trace), the control-plane
+// node's last heartbeat snapshot, /telemetry/alerts relaying each member's
+// own idle-watchdog verdict, /mesh/trace for the cross-hop Chrome trace), the
+// control-plane
 // decision log (/control/decisions: grain-consensus hints pushed, held
 // advisory, or vetoed), and the introspect /debug namespace.
 func (m *Mesh) Handler() http.Handler {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -81,11 +80,6 @@ type Mesh struct {
 	// target node's lane, plus a phase span per placement, so one job's
 	// whole path through the cluster renders as a single timeline.
 	tracer *trace.Tracer
-	// sampler feeds the gateway's telemetry ring; the per-node watchdogs
-	// (index-aligned with the registry's node set) re-judge each node's
-	// idle-rate from its OnSample hook.
-	sampler   *telemetry.Sampler
-	watchdogs []*telemetry.Watchdog
 
 	submitted *counters.Cumulative // jobs some node admitted
 	rejected  *counters.Cumulative // submissions refused by the whole mesh
@@ -218,50 +212,23 @@ func newMesh(cfg config.Mesh, retain int) (*Mesh, error) {
 		sumLoad(func(_, q, _ float64) float64 { return q })))
 	m.reg.MustRegister(counters.NewDerived("/mesh/cluster/running-jobs",
 		sumLoad(func(_, _, r float64) float64 { return r })))
-
-	// One watchdog per node over the sampled /mesh/node{...} series. The
-	// config's FlowFloor is an inflight floor refreshed per heartbeat, so
-	// per second it divides by the heartbeat interval — the same
-	// tasks-per-second form the node-local watchdogs use.
-	for _, n := range m.nodes.Nodes() {
-		m.watchdogs = append(m.watchdogs, telemetry.NewWatchdog(telemetry.WatchdogConfig{
-			Subject:     "node " + n.Name(),
-			IdleCounter: nodeCounter(n.Name(), "idle-rate"),
-			FlowCounter: nodeCounter(n.Name(), "tasks-cumulative"),
-			BusyCounter: nodeCounter(n.Name(), "inflight-tasks"),
-			Window:      cfg.WatchdogWindow,
-			FlowFloor:   cfg.FlowFloor / cfg.HeartbeatInterval.Seconds(),
-			Logf:        log.Printf,
-		}))
-	}
-	m.sampler = telemetry.NewSampler(m.reg, telemetry.Config{
-		Interval: cfg.TelemetryInterval,
-		Capacity: cfg.TelemetryRing,
-		OnSample: func(telemetry.Sample) {
-			for _, w := range m.watchdogs {
-				w.Evaluate(m.sampler.Ring())
-			}
-		},
-	})
 	return m, nil
 }
 
 // Start sweeps the node set once (so routing works immediately) and launches
-// the heartbeat loops, the sampler and the stale-job sweeper, once.
+// the heartbeat loops and the stale-job sweeper, once.
 func (m *Mesh) Start() {
 	m.startOnce.Do(func() {
 		m.nodes.Start()
-		m.sampler.Start()
 		m.sweeper = m.sweepMeter.Every(staleSweepInterval, m.sweep)
 	})
 }
 
-// Stop terminates the heartbeat loops, the sampler and the sweeper. In-flight
-// relayed requests are not interrupted.
+// Stop terminates the heartbeat loops and the sweeper. In-flight relayed
+// requests are not interrupted.
 func (m *Mesh) Stop() {
 	m.startOnce.Do(func() {}) // orders this read of m.sweeper after Start's write
 	m.sweeper.Stop()
-	m.sampler.Stop()
 	m.nodes.Stop()
 	if m.wal != nil {
 		m.wal.Close()
@@ -302,14 +269,15 @@ func (m *Mesh) NodeRegistry() *Registry { return m.nodes }
 // Tracer returns the gateway's hop tracer.
 func (m *Mesh) Tracer() *trace.Tracer { return m.tracer }
 
-// Telemetry returns the gateway's counter sampler.
-func (m *Mesh) Telemetry() *telemetry.Sampler { return m.sampler }
-
-// Alerts snapshots every per-node watchdog verdict.
+// Alerts relays every member node's own watchdog verdict as of its last
+// heartbeat. The gateway judges no node itself: the node's verdict, taken
+// over its own engine's intervals, is the one the router reads too.
 func (m *Mesh) Alerts() []telemetry.Alert {
-	out := make([]telemetry.Alert, 0, len(m.watchdogs))
-	for _, w := range m.watchdogs {
-		out = append(out, w.Current())
+	nodes := m.nodes.Nodes()
+	out := make([]telemetry.Alert, 0, len(nodes))
+	for _, n := range nodes {
+		snap, _ := n.Snapshot()
+		out = append(out, telemetry.AlertFromSnapshot("node "+n.Name(), snap))
 	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 	"taskgrain/internal/config"
 	"taskgrain/internal/counters"
 	"taskgrain/internal/loop"
+	"taskgrain/internal/telemetry"
 )
 
 // NodeState is one node's health as seen by the registry.
@@ -128,7 +129,7 @@ func (n *Node) observe(draining bool, snap map[string]float64) {
 	n.inflight = snap["/server/tasks/inflight"]
 	n.queued = snap["/server/jobs/queued"]
 	n.running = snap["/server/jobs/running"]
-	n.alert = snap["/telemetry/watchdog/active"] > 0
+	n.alert = snap[telemetry.WatchdogActive] > 0
 	n.snap = counters.Snapshot(snap)
 	n.snapAt = now
 }
@@ -257,19 +258,6 @@ func newRegistry(cfg config.Mesh, client *http.Client, reg *counters.Registry) (
 		}))
 		reg.MustRegister(counters.NewDerived(nodeCounter(name, "state"), func() float64 {
 			return stateOrd(n.State())
-		}))
-		// The node's cumulative task count and live occupancy, mirrored from
-		// the heartbeat so the gateway's telemetry ring captures per-node
-		// series — task flow disambiguates the U-curve walls for the per-node
-		// watchdogs, and inflight gates them (a node with no work never
-		// alerts).
-		reg.MustRegister(counters.NewDerived(nodeCounter(name, "tasks-cumulative"), func() float64 {
-			snap, _ := n.Snapshot()
-			return snap.Get("/threads/count/cumulative")
-		}))
-		reg.MustRegister(counters.NewDerived(nodeCounter(name, "inflight-tasks"), func() float64 {
-			_, inflight, _, _ := n.load()
-			return inflight
 		}))
 		r.nodes = append(r.nodes, n)
 	}

@@ -47,19 +47,24 @@ func fetchOpenMetrics(t *testing.T, gw, path string) string {
 }
 
 // TestGatewayLoopCounters: the gateway's background loops count on its own
-// registry, and the per-node heartbeat loops all add into one pair.
+// registry, and the per-node heartbeat loops all add into one pair. The
+// gateway samples nothing of its own — node verdicts arrive with the
+// heartbeats — so it runs no telemetry sampler.
 func TestGatewayLoopCounters(t *testing.T) {
 	n1, n2 := newFakeNode(t), newFakeNode(t)
 	cfg := testMeshConfig(n1.ts.URL, n2.ts.URL)
 	cfg.JournalDir = t.TempDir()
 	m, _ := startMesh(t, cfg)
 	reg := m.Counters()
-	for _, name := range []string{"heartbeat", "gateway-sweep", "telemetry-sample", "journal-flush"} {
+	for _, name := range []string{"heartbeat", "gateway-sweep", "journal-flush"} {
 		for _, leaf := range []string{"count/runs", "time/busy"} {
 			if _, ok := reg.Get("/loops{" + name + "}/" + leaf); !ok {
 				t.Fatalf("/loops{%s}/%s not registered", name, leaf)
 			}
 		}
+	}
+	if _, ok := reg.Get("/loops{telemetry-sample}/count/runs"); ok {
+		t.Fatal("the gateway runs a telemetry sampler")
 	}
 	waitFor(t, 5*time.Second, "both nodes' heartbeats to count into one pair", func() bool {
 		beats, _ := reg.Value("/loops{heartbeat}/count/runs")
@@ -122,10 +127,8 @@ func TestMeshMetricsEndpointsServeOpenMetrics(t *testing.T) {
 		}
 	}
 
-	// The idle watchdogs: one verdict per node, quiet on a healthy mesh
-	// (idle-rate 0.5 > 0.30 but flow is static → the window has not filled
-	// with fresh over-threshold samples carrying flow; regardless, the
-	// endpoint's shape is what this test pins down).
+	// The relayed watchdog verdicts: one per node, quiet — these fakes
+	// export none (TestGatewayRelaysNodeVerdicts covers a firing one).
 	resp, err := http.Get(gw.URL + "/telemetry/alerts")
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +144,70 @@ func TestMeshMetricsEndpointsServeOpenMetrics(t *testing.T) {
 		t.Fatalf("alerts = %+v, want one per node", alerts.Alerts)
 	}
 	for _, a := range alerts.Alerts {
-		if !strings.HasPrefix(a.Subject, "node ") {
-			t.Fatalf("alert subject %q", a.Subject)
+		if !strings.HasPrefix(a.Subject, "node ") || a.Active {
+			t.Fatalf("relayed alert %+v", a)
+		}
+	}
+}
+
+// TestGatewayRelaysNodeVerdicts: the gateway's /telemetry/alerts is each
+// member's own watchdog verdict, read off the heartbeat snapshot, not a
+// second judgement: a node whose watchdog fires on the starvation wall shows
+// up at the gateway with the node's wall, suggestion and window figures,
+// the quiet node stays quiet, and the router reads the same verdict.
+func TestGatewayRelaysNodeVerdicts(t *testing.T) {
+	starved, starvedFront := startServeNode(t, nil)
+	_, quietFront := startServeNode(t, nil)
+	// With its sampler stopped the node's verdict is exactly the readings
+	// fed here — a minute on, past every reading its own engine took —
+	// idle-rate pinned with tasks on board but none starting.
+	starved.Telemetry().Stop()
+	epoch := time.Now().Add(time.Minute)
+	for i := 0; i < 4; i++ {
+		starved.Watchdog().Observe(telemetry.Reading{
+			At:       epoch.Add(time.Duration(i) * time.Second),
+			IdleRate: 0.9,
+			Elapsed:  time.Second,
+			Busy:     true,
+		})
+	}
+	want := starved.Watchdog().Current()
+	if !want.Active || want.Wall != telemetry.WallStarvation {
+		t.Fatalf("node verdict = %+v, want an active starvation alert", want)
+	}
+
+	// Start sweeps both nodes before it returns, so the snapshots are in.
+	m, gw := startMesh(t, testMeshConfig(starvedFront.URL, quietFront.URL))
+	starvedName := strings.TrimPrefix(starvedFront.URL, "http://")
+	resp, err := http.Get(gw.URL + "/telemetry/alerts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Alerts []telemetry.Alert `json:"alerts"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(body.Alerts) != 2 {
+		t.Fatalf("alerts = %+v, want one per node", body.Alerts)
+	}
+	for _, a := range body.Alerts {
+		if a.Subject != "node "+starvedName {
+			if a.Active {
+				t.Fatalf("quiet node relayed as alerting: %+v", a)
+			}
+			continue
+		}
+		want.Subject, want.Since = a.Subject, time.Time{}
+		if a != want {
+			t.Fatalf("gateway relayed %+v, node judged %+v", a, want)
+		}
+	}
+	for _, n := range m.NodeRegistry().Nodes() {
+		if n.Name() == starvedName && !n.alerted() {
+			t.Fatalf("the router does not see %s's alert", n.Name())
 		}
 	}
 }

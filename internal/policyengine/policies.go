@@ -9,24 +9,19 @@ import (
 )
 
 // WatchdogPolicy closes the loop the telemetry watchdog used to dead-end:
-// it evaluates the watchdog over the telemetry ring on every engine sample,
-// and when the alert is active it turns the grow/shrink verdict (the
-// paper's two U-curve walls, disambiguated by the task-flow floor) into
-// per-kind grain Actions. Hysteresis comes from the watchdog itself — the
-// alert only fires after a full window above HighIdle — plus a Cooldown
-// between emitted moves so one sustained alert cannot multiply the grain
+// every engine sample reaches the watchdog as a Reading — the interval
+// idle-rate, task count and length the engine just derived, the figures
+// admission judges too, and whether tasks were on board — and while the
+// alert is active its verdict (the paper's two U-curve walls, disambiguated
+// by the task-flow floor) becomes per-kind grain Actions: grow doubles,
+// shrink halves. Hysteresis comes from the watchdog itself — the alert only
+// fires after a full window above HighIdle — plus one watchdog window
+// between emitted moves, so one sustained alert cannot multiply the grain
 // once per sampling interval. Guardrails (clamping to each controller's
 // bounds) are applied at actuation.
 type WatchdogPolicy struct {
-	// Watchdog is the alert state machine to evaluate (required).
+	// Watchdog is the alert state machine the samples feed (required).
 	Watchdog *telemetry.Watchdog
-	// Ring supplies the telemetry ring the watchdog inspects (required).
-	Ring func() *telemetry.Ring
-	// Growth is the grain multiplier per move (default 2).
-	Growth int
-	// Cooldown is the minimum spacing between emitted moves (default the
-	// watchdog's window).
-	Cooldown time.Duration
 
 	lastFire time.Time
 }
@@ -36,23 +31,18 @@ func (w *WatchdogPolicy) Name() string { return "watchdog" }
 
 // Evaluate implements Policy.
 func (w *WatchdogPolicy) Evaluate(s Sample) []Action {
-	if w.Watchdog == nil || w.Ring == nil {
-		return nil
-	}
-	alert := w.Watchdog.Evaluate(w.Ring())
+	alert := w.Watchdog.Observe(telemetry.Reading{
+		At:       s.At,
+		IdleRate: s.IdleRate,
+		Tasks:    s.Tasks,
+		Elapsed:  s.Elapsed,
+		Busy:     s.Inflight > 0,
+	})
 	if !alert.Active || len(s.Grains) == 0 {
 		return nil
 	}
-	cooldown := w.Cooldown
-	if cooldown <= 0 {
-		cooldown = w.Watchdog.Config().Window
-	}
-	if !w.lastFire.IsZero() && s.At.Sub(w.lastFire) < cooldown {
+	if !w.lastFire.IsZero() && s.At.Sub(w.lastFire) < w.Watchdog.Config().Window {
 		return nil
-	}
-	growth := w.Growth
-	if growth < 2 {
-		growth = 2
 	}
 	kinds := make([]string, 0, len(s.Grains))
 	for k := range s.Grains {
@@ -68,12 +58,9 @@ func (w *WatchdogPolicy) Evaluate(s Sample) []Action {
 		var next int
 		switch alert.Suggestion {
 		case telemetry.SuggestGrowGrain:
-			next = cur * growth
+			next = cur * 2
 		case telemetry.SuggestShrinkGrain:
-			next = cur / growth
-			if next < 1 {
-				next = 1
-			}
+			next = max(cur/2, 1)
 		default:
 			continue
 		}

@@ -68,6 +68,9 @@ type Sample struct {
 	ActiveWorkers int
 	// MaxWorkers is the machine ceiling.
 	MaxWorkers int
+	// Inflight is the runtime's task backlog when the sample was taken
+	// (Options.Inflight; 0 without one).
+	Inflight int64
 	// Grains is the current grain per registered kind (nil if none).
 	Grains map[string]int
 	// Elapsed is the interval length.
@@ -126,6 +129,9 @@ type Options struct {
 	Mode Mode
 	// Actuators are the runtime knobs; nil members disable that action kind.
 	Actuators Actuators
+	// Inflight reports the runtime's task backlog (taskrt.Runtime.Inflight)
+	// for Sample.Inflight; nil reads 0.
+	Inflight func() int64
 	// LogCapacity bounds the Recorder's decision log (default 128).
 	LogCapacity int
 }
@@ -145,6 +151,7 @@ type Engine struct {
 	maxWorkers int
 	mode       Mode
 	act        Actuators
+	inflight   func() int64
 	policies   []Policy
 	grains     map[string]*adaptive.Controller
 	rec        *Recorder
@@ -171,6 +178,7 @@ func New(opts Options) (*Engine, error) {
 		maxWorkers: opts.MaxWorkers,
 		mode:       mode,
 		act:        opts.Actuators,
+		inflight:   opts.Inflight,
 		grains:     map[string]*adaptive.Controller{},
 		rec:        NewRecorder(opts.Registry, opts.LogCapacity),
 		prev:       opts.Registry.Snapshot(),
@@ -354,6 +362,9 @@ func (e *Engine) sample(ts telemetry.Sample) Sample {
 		s.ActiveWorkers = e.act.ActiveWorkers()
 	} else {
 		s.ActiveWorkers = e.maxWorkers
+	}
+	if e.inflight != nil {
+		s.Inflight = e.inflight()
 	}
 	if len(e.grains) > 0 {
 		s.Grains = make(map[string]int, len(e.grains))

@@ -1,6 +1,7 @@
 package policyengine
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -341,41 +342,45 @@ func TestEngineGrainControllers(t *testing.T) {
 	}
 }
 
-// TestWatchdogPolicyEmitsGrainActions pins the watchdog→engine edge: a
-// pinned idle-rate with task flow becomes per-kind grow actions, a pinned
-// idle-rate without flow becomes shrink actions, and the cooldown spaces
-// successive moves.
+// TestWatchdogPolicyEmitsGrainActions pins the watchdog→engine edge: engine
+// samples pinned above tolerance with task flow become per-kind grow
+// actions on the sample that fills the watchdog's minimum window, pinned
+// samples without flow become shrink actions, samples with nothing on board
+// move nothing, and the watchdog's window spaces successive moves.
 func TestWatchdogPolicyEmitsGrainActions(t *testing.T) {
-	mk := func(flowPerSample float64) (*WatchdogPolicy, *telemetry.Ring, time.Time) {
-		ring := telemetry.NewRing(16)
-		base := time.Now()
-		var flow float64
-		for i := 0; i < 5; i++ {
-			flow += flowPerSample
-			ring.Push(telemetry.Sample{
-				At: base.Add(time.Duration(i) * time.Second),
-				Values: counters.Snapshot{
-					"/server/idle-rate":         0.95,
-					"/server/tasks/inflight":    1,
-					"/threads/count/cumulative": flow,
-				},
-			})
+	base := time.Now()
+	pinned := func(sec int, tasks float64, inflight int64, grains map[string]int) Sample {
+		return Sample{
+			At:       base.Add(time.Duration(sec) * time.Second),
+			IdleRate: 0.95,
+			Tasks:    tasks,
+			Elapsed:  time.Second,
+			Inflight: inflight,
+			Grains:   grains,
 		}
-		w := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-			Subject:     "test",
-			IdleCounter: "/server/idle-rate",
-			FlowCounter: "/threads/count/cumulative",
-			BusyCounter: "/server/tasks/inflight",
-			Window:      10 * time.Second,
-			FlowFloor:   10,
-		})
-		p := &WatchdogPolicy{Watchdog: w, Ring: func() *telemetry.Ring { return ring }, Cooldown: 10 * time.Second}
-		return p, ring, base.Add(4 * time.Second)
+	}
+	// run feeds n one-second samples to a fresh policy, checks that none but
+	// the last moved anything, and returns the policy with the last
+	// sample's actions.
+	run := func(n int, tasks float64, inflight int64, grains map[string]int) (*WatchdogPolicy, []Action) {
+		t.Helper()
+		p := &WatchdogPolicy{Watchdog: telemetry.NewWatchdog(telemetry.WatchdogConfig{
+			Subject:   "test",
+			Window:    10 * time.Second,
+			FlowFloor: 10,
+		})}
+		var acts []Action
+		for sec := 0; sec < n; sec++ {
+			if len(acts) != 0 {
+				t.Fatalf("moved at sample %d, before the window held 3 samples: %+v", sec-1, acts)
+			}
+			acts = p.Evaluate(pinned(sec, tasks, inflight, grains))
+		}
+		return p, acts
 	}
 
 	// High flow → overhead wall → grow every kind, sorted.
-	p, _, at := mk(1000)
-	acts := p.Evaluate(Sample{At: at, Grains: map[string]int{"fibonacci": 20, "stencil1d": 1000}})
+	p, acts := run(3, 1000, 1, map[string]int{"fibonacci": 20, "stencil1d": 1000})
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v", acts)
 	}
@@ -383,68 +388,119 @@ func TestWatchdogPolicyEmitsGrainActions(t *testing.T) {
 		acts[1].GrainKind != "stencil1d" || acts[1].SetGrain != 2000 {
 		t.Fatalf("grow actions = %+v", acts)
 	}
-	// Cooldown: the same pinned alert must not fire again immediately.
-	if again := p.Evaluate(Sample{At: at.Add(time.Second), Grains: map[string]int{"stencil1d": 2000}}); len(again) != 0 {
+	// Cooldown: the same pinned alert must not fire again within a window.
+	if again := p.Evaluate(pinned(3, 1000, 1, map[string]int{"stencil1d": 2000})); len(again) != 0 {
 		t.Fatalf("cooldown violated: %+v", again)
 	}
-	// After the cooldown it may move again.
-	if later := p.Evaluate(Sample{At: at.Add(11 * time.Second), Grains: map[string]int{"stencil1d": 2000}}); len(later) != 1 || later[0].SetGrain != 4000 {
+	// After the window it may move again.
+	if later := p.Evaluate(pinned(13, 1000, 1, map[string]int{"stencil1d": 2000})); len(later) != 1 || later[0].SetGrain != 4000 {
 		t.Fatalf("post-cooldown actions = %+v", later)
 	}
 
 	// Near-zero flow → starvation wall → shrink.
-	p2, _, at2 := mk(0.5)
-	acts = p2.Evaluate(Sample{At: at2, Grains: map[string]int{"stencil1d": 1000}})
-	if len(acts) != 1 || acts[0].SetGrain != 500 {
+	if _, acts = run(3, 0.5, 1, map[string]int{"stencil1d": 1000}); len(acts) != 1 || acts[0].SetGrain != 500 {
 		t.Fatalf("shrink actions = %+v", acts)
 	}
 
 	// Grain floor: a shrink at 1 emits nothing rather than a no-op.
-	p3, _, at3 := mk(0.5)
-	if acts = p3.Evaluate(Sample{At: at3, Grains: map[string]int{"fibonacci": 1}}); len(acts) != 0 {
+	if _, acts = run(3, 0.5, 1, map[string]int{"fibonacci": 1}); len(acts) != 0 {
 		t.Fatalf("floor actions = %+v", acts)
+	}
+
+	// Nothing on board: a pinned idle-rate is spare capacity, not a wall.
+	if _, acts = run(5, 1000, 0, map[string]int{"stencil1d": 1000}); len(acts) != 0 {
+		t.Fatalf("moved an idle runtime: %+v", acts)
+	}
+}
+
+// TestWatchdogPolicyHoldsStillWithinAWindow: over seeded arbitrary sample
+// streams — idle-rates either side of the threshold, any task flow, work on
+// board or not, irregular intervals — the policy moves only while the
+// watchdog fires, never moves twice within one watchdog window, and never
+// emits a grain below 1.
+func TestWatchdogPolicyHoldsStillWithinAWindow(t *testing.T) {
+	const window = 2 * time.Second
+	moves := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := telemetry.NewWatchdog(telemetry.WatchdogConfig{Subject: "prop", Window: window, FlowFloor: 100})
+		p := &WatchdogPolicy{Watchdog: w}
+		grains := map[string]int{"a": 1 + rng.Intn(4096), "b": 1 + rng.Intn(4096)}
+		at := time.Unix(1_000_000, 0)
+		var lastMove time.Time
+		for i := 0; i < 400; i++ {
+			step := time.Duration(10+rng.Intn(190)) * time.Millisecond
+			at = at.Add(step)
+			idle := rng.Float64()
+			if rng.Intn(8) > 0 {
+				idle = 0.31 + 0.69*idle // mostly pinned, so the alert gets to fire
+			}
+			acts := p.Evaluate(Sample{
+				At:       at,
+				IdleRate: idle,
+				Tasks:    float64(rng.Intn(50)),
+				Elapsed:  step,
+				Inflight: int64(rng.Intn(3)),
+				Grains:   grains,
+			})
+			if len(acts) == 0 {
+				continue
+			}
+			if !w.Current().Active {
+				t.Fatalf("seed %d: moved while the watchdog was quiet: %+v", seed, acts)
+			}
+			if !lastMove.IsZero() && at.Sub(lastMove) < window {
+				t.Fatalf("seed %d: moved %v after the previous move, inside the %v window", seed, at.Sub(lastMove), window)
+			}
+			lastMove = at
+			next := map[string]int{"a": grains["a"], "b": grains["b"]}
+			for _, a := range acts {
+				if a.SetGrain < 1 {
+					t.Fatalf("seed %d: grain %d below 1: %+v", seed, a.SetGrain, a)
+				}
+				next[a.GrainKind] = a.SetGrain
+			}
+			grains = next
+			moves++
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no stream ever moved a grain; the property was never exercised")
 	}
 }
 
 // TestEngineWatchdogActuatesGrain wires watchdog, engine, and a registered
-// controller together: the alert's grow verdict must move the controller's
-// grain through the one engine path.
+// controller together: the watchdog judges the intervals the engine derives
+// from its own samples, and its grow verdict moves the controller's grain
+// through the one engine path.
 func TestEngineWatchdogActuatesGrain(t *testing.T) {
 	f := newFake(t)
-	e, err := New(Options{Registry: f.reg, MaxWorkers: 4})
+	e, err := New(Options{Registry: f.reg, MaxWorkers: 4, Inflight: func() int64 { return 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl, _ := adaptive.NewController(adaptive.Config{MinPartition: 64, MaxPartition: 1 << 20}, 1000)
 	e.RegisterGrain("stencil1d", ctl)
+	w := telemetry.NewWatchdog(telemetry.WatchdogConfig{Subject: "test", Window: 10 * time.Second})
+	e.AddPolicy(&WatchdogPolicy{Watchdog: w})
 
-	ring := telemetry.NewRing(16)
+	// Three pinned intervals with task flow fill the watchdog's window and
+	// fire on the overhead wall.
 	base := time.Now()
-	for i := 0; i < 5; i++ {
-		ring.Push(telemetry.Sample{
-			At: base.Add(time.Duration(i) * time.Second),
-			Values: counters.Snapshot{
-				"/server/idle-rate":         0.95,
-				"/server/tasks/inflight":    1,
-				"/threads/count/cumulative": float64(i) * 1000,
-			},
-		})
+	var acts []Action
+	for i := 1; i <= 3; i++ {
+		f.interval(0.95, 1000)
+		_, acts = e.ObserveSample(telemetry.Sample{At: base.Add(time.Duration(i) * time.Second), Values: f.reg.Snapshot()})
 	}
-	w := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-		Subject:     "test",
-		IdleCounter: "/server/idle-rate",
-		FlowCounter: "/threads/count/cumulative",
-		BusyCounter: "/server/tasks/inflight",
-		Window:      10 * time.Second,
-	})
-	e.AddPolicy(&WatchdogPolicy{Watchdog: w, Ring: func() *telemetry.Ring { return ring }})
-
-	_, acts := e.ObserveSample(telemetry.Sample{At: base.Add(4 * time.Second), Values: f.reg.Snapshot()})
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v", acts)
 	}
 	if g := e.Grain("stencil1d"); g != 2000 {
 		t.Fatalf("watchdog verdict did not actuate: grain = %d", g)
+	}
+	// The verdict is over the engine's own interval figures.
+	if a := w.Current(); a.Samples != 3 || a.IdleRate < 0.949 || a.IdleRate > 0.951 {
+		t.Fatalf("watchdog verdict %+v, want 3 engine intervals at idle 0.95", a)
 	}
 	log := e.Decisions()
 	if len(log) != 1 || log[0].Policy != "watchdog" || log[0].Mode != DecisionActuated {

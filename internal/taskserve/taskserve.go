@@ -50,9 +50,9 @@ type Server struct {
 
 	startTime time.Time
 
-	// sampler feeds the telemetry ring behind GET /metrics and
-	// /telemetry/*; the watchdog re-judges the idle-rate tolerance
-	// threshold from its OnSample hook.
+	// sampler feeds the telemetry ring behind /telemetry/series and clocks
+	// the policy engine; the watchdog judges the engine's intervals (through
+	// WatchdogPolicy) and exports its verdict under /telemetry/watchdog/.
 	sampler  *telemetry.Sampler
 	watchdog *telemetry.Watchdog
 
@@ -142,6 +142,7 @@ func New(cfg config.Server) (*Server, error) {
 		Registry:   reg,
 		MaxWorkers: workers,
 		Mode:       mode,
+		Inflight:   rt.Inflight,
 		Actuators: policyengine.Actuators{
 			SetActiveWorkers: rt.SetActiveWorkers,
 			ActiveWorkers:    rt.ActiveWorkers,
@@ -223,45 +224,33 @@ func New(cfg config.Server) (*Server, error) {
 		))
 	}
 
-	// The watchdog re-states the admission controller's wall disambiguation
-	// over the telemetry window: ShedMinTasks is a task floor per sample, so
-	// dividing by the sampling interval converts it to the tasks-per-second
-	// flow floor the window delta is compared against.
+	// The watchdog judges the engine's own intervals — the idle-rate and
+	// task count admission judges — so admission's task floor per sample,
+	// ShedMinTasks, over the sampling interval is its tasks-per-second flow
+	// floor. Its verdict is exported under /telemetry/watchdog/, where a
+	// mesh gateway's heartbeat reads it.
 	s.watchdog = telemetry.NewWatchdog(telemetry.WatchdogConfig{
-		Subject:     "taskgraind " + cfg.Addr,
-		IdleCounter: "/server/idle-rate",
-		FlowCounter: "/threads/count/cumulative",
-		BusyCounter: "/server/tasks/inflight",
-		HighIdle:    cfg.HighIdle,
-		Window:      cfg.WatchdogWindow,
-		FlowFloor:   cfg.ShedMinTasks / cfg.TelemetryInterval.Seconds(),
-		Logf:        log.Printf,
+		Subject:   "taskgraind " + cfg.Addr,
+		HighIdle:  cfg.HighIdle,
+		Window:    cfg.WatchdogWindow,
+		FlowFloor: cfg.ShedMinTasks / cfg.TelemetryInterval.Seconds(),
+		Logf:      log.Printf,
 	})
+	s.watchdog.Register(reg)
 	// One sampling path: the telemetry sampler is the control plane's only
-	// clock. Each sample lands in the ring (history for /metrics and
-	// /telemetry/*) and is then handed to the engine, which re-derives the
-	// interval metrics, evaluates the policies — admission, throttling, and
+	// clock. Each sample lands in the ring (history for /telemetry/series)
+	// and is then handed to the engine, which derives the interval metrics
+	// once and evaluates the policies over them — admission, throttling, and
 	// the watchdog (whose grow/shrink verdicts become grain actions instead
-	// of dead-end alert strings) — and actuates per control_mode. Admission
-	// and the watchdog therefore judge ShedMinTasks over the same interval.
+	// of dead-end alert strings) — actuating per control_mode.
 	s.sampler = telemetry.NewSampler(reg, telemetry.Config{
 		Interval: cfg.TelemetryInterval,
 		Capacity: cfg.TelemetryRing,
 		OnSample: func(ts telemetry.Sample) { s.eng.ObserveSample(ts) },
 	})
-	reg.MustRegister(counters.NewDerived("/telemetry/watchdog/active", func() float64 {
-		if s.watchdog.Current().Active {
-			return 1
-		}
-		return 0
-	}))
 	eng.AddPolicy(s.adm.policy())
 	eng.AddPolicy(&policyengine.ThrottlePolicy{})
-	eng.AddPolicy(&policyengine.WatchdogPolicy{
-		Watchdog: s.watchdog,
-		Ring:     func() *telemetry.Ring { return s.sampler.Ring() },
-		Cooldown: cfg.WatchdogWindow,
-	})
+	eng.AddPolicy(&policyengine.WatchdogPolicy{Watchdog: s.watchdog})
 
 	// Journal recovery runs before Start: replayed non-terminal jobs land in
 	// the queue and wait there until the runners launch.

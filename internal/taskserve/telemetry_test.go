@@ -207,7 +207,8 @@ func TestWatchdogEvaluatesFromSamplerHook(t *testing.T) {
 	cfg.TelemetryInterval = 5 * time.Millisecond
 	s, _ := newTestServer(t, cfg)
 	// The hook runs on every tick; the fresh server must settle un-alerted
-	// with real samples accumulating in the ring.
+	// with real samples accumulating in the ring, each engine sample one of
+	// the watchdog's readings.
 	deadline := time.Now().Add(2 * time.Second)
 	for s.Telemetry().Ring().Len() < 2 {
 		if time.Now().After(deadline) {
@@ -215,7 +216,11 @@ func TestWatchdogEvaluatesFromSamplerHook(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if a := s.Watchdog().Current(); a.Active {
+	a := s.Watchdog().Current()
+	if a.Active {
 		t.Fatalf("idle server alerted: %+v", a)
+	}
+	if a.Samples == 0 {
+		t.Fatalf("the watchdog judged no engine sample: %+v", a)
 	}
 }

@@ -4,9 +4,10 @@
 // Registry on a fixed interval into a fixed-capacity Ring of timestamped
 // snapshots; windowed queries (last-N, delta- and rate-over-window against
 // *real* elapsed time between sample stamps) turn the paper's Eq. 1–6
-// counters into time series. On top of the ring sit the OpenMetrics
-// exporter (openmetrics.go) and the idle-rate watchdog (watchdog.go) that
-// evaluates the paper's ~30% tolerance threshold over a sliding window.
+// counters into time series. Beside the ring sit the OpenMetrics exporter
+// (openmetrics.go) and the idle-rate watchdog (watchdog.go), which evaluates
+// the paper's ~30% tolerance threshold over a sliding window of the policy
+// engine's interval readings.
 //
 // The ring is the same idea as HPX's queryable counter service plus Task
 // Bench's longitudinal METG capture: without history, a point-in-time
@@ -167,7 +168,7 @@ type Config struct {
 	// Interval × Capacity of history.
 	Capacity int
 	// OnSample, when set, runs after each sample lands in the ring (on the
-	// sampler goroutine) — the hook the watchdog evaluates from.
+	// sampler goroutine) — the hook a node's policy engine observes from.
 	OnSample func(Sample)
 }
 
