@@ -46,7 +46,7 @@ func (v *Verifier) Failures() []string {
 }
 
 // MonotonicNames returns the registry's monotonic counter names — the ones
-// a Cumulative or PerWorker backs, the same classification the OpenMetrics
+// counters.Monotonic accepts, the same classification the OpenMetrics
 // exporter uses to stamp the _total suffix. These are the counters
 // CheckMonotonic audits.
 func MonotonicNames(reg *counters.Registry) []string {
@@ -56,8 +56,7 @@ func MonotonicNames(reg *counters.Registry) []string {
 		if !ok {
 			continue
 		}
-		switch c.(type) {
-		case *counters.Cumulative, *counters.PerWorker:
+		if counters.Monotonic(c) {
 			names = append(names, n)
 		}
 	}

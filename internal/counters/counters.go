@@ -28,6 +28,7 @@ package counters
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -191,12 +192,187 @@ func (p *PerWorker) Reset() {
 	}
 }
 
+// pairSlot is one worker's pair on its own cache line.
+type pairSlot struct {
+	part, rest atomic.Int64
+	// open is the clock instant an open rest interval began plus one, 0 when
+	// none; seq is odd while CloseRest folds that interval into rest.
+	open, seq atomic.Int64
+	_         [32]byte
+}
+
+// Pair counts a per-worker whole split into two disjoint parts, part and
+// rest, and exports it under two names: part, and whole = part + rest, in
+// total and per worker instance. Registry.Snapshot reads each worker's
+// slots once and derives both names from that one read, so part ≤ whole
+// holds in every snapshot and in the delta of any two — which two
+// independently updated counters cannot promise while workers run. The
+// queue look-up counters are pairs (misses of accesses, the rest being
+// hits), and so is Eq. 1's Σt_exec of Σt_func (the rest being scheduler
+// time outside task phases).
+type Pair struct {
+	part, whole string
+	// wholeGauge exports whole as a gauge without per-worker instances.
+	wholeGauge bool
+	// clock is the time base of open rest intervals (see OpenRest).
+	clock func() int64
+	slots []pairSlot
+	// per-worker instance names, built once at registration
+	partInst, wholeInst []string
+}
+
+// NewPair creates a pair over n workers exporting part and whole, both as
+// monotonic counters with per-worker instances.
+func NewPair(part, whole string, n int) *Pair {
+	return &Pair{part: part, whole: whole, slots: make([]pairSlot, n)}
+}
+
+// WholeAsGauge makes p export whole the way a Derived counter is exported:
+// as a gauge, with no per-worker instances. It returns p.
+func (p *Pair) WholeAsGauge() *Pair {
+	p.wholeGauge = true
+	return p
+}
+
+// WithClock sets the clock OpenRest and CloseRest instants are read on (a
+// monotonic nanosecond count). It returns p.
+func (p *Pair) WithClock(clock func() int64) *Pair {
+	p.clock = clock
+	return p
+}
+
+// AddPart adds d to worker w's part.
+func (p *Pair) AddPart(w int, d int64) { p.slots[w].part.Add(d) }
+
+// AddRest adds d to worker w's rest.
+func (p *Pair) AddRest(w int, d int64) { p.slots[w].rest.Add(d) }
+
+// OpenRest starts an interval of worker w's rest at instant at (on the
+// pair's clock), with everything before at already added. Readings add
+// the interval live until CloseRest — for time a worker spends blocked,
+// which would otherwise show up only when it ends. Only worker w's owner
+// may open and close its interval.
+func (p *Pair) OpenRest(w int, at int64) { p.slots[w].open.Store(at + 1) }
+
+// CloseRest adds worker w's open interval, up to now on the pair's clock,
+// to its rest and returns that instant. The clock is read inside the close
+// so no reading can count the interval past it.
+func (p *Pair) CloseRest(w int) int64 {
+	s := &p.slots[w]
+	s.seq.Add(1)
+	at := p.clock()
+	s.rest.Add(at - (s.open.Load() - 1))
+	s.open.Store(0)
+	s.seq.Add(1)
+	return at
+}
+
+// Worker returns worker w's (part, whole), reading each slot once. An open
+// rest interval counts up to the instant of the reading; the reading
+// retries while the interval is being closed, so whole never runs
+// backwards.
+func (p *Pair) Worker(w int) (part, whole int64) {
+	s := &p.slots[w]
+	for {
+		seq := s.seq.Load()
+		if seq&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		open := s.open.Load()
+		pt, rest := s.part.Load(), s.rest.Load()
+		if open != 0 {
+			rest += p.clock() - (open - 1)
+		}
+		if s.seq.Load() == seq {
+			return pt, pt + rest
+		}
+	}
+}
+
+// Totals returns the summed (part, whole) from one read of each slot.
+func (p *Pair) Totals() (part, whole int64) {
+	for w := range p.slots {
+		a, b := p.Worker(w)
+		part += a
+		whole += b
+	}
+	return part, whole
+}
+
+// Reset zeroes every slot.
+func (p *Pair) Reset() {
+	for i := range p.slots {
+		p.slots[i].part.Store(0)
+		p.slots[i].rest.Store(0)
+	}
+}
+
+// readInto stores the pair's totals and per-worker instances in s.
+func (p *Pair) readInto(s Snapshot) {
+	var part, whole int64
+	for w := range p.slots {
+		a, b := p.Worker(w)
+		s[p.partInst[w]] = float64(a)
+		if !p.wholeGauge {
+			s[p.wholeInst[w]] = float64(b)
+		}
+		part += a
+		whole += b
+	}
+	s[p.part], s[p.whole] = float64(part), float64(whole)
+}
+
+// pairView is one registered name of a Pair: its part or whole, in total
+// (worker < 0) or for one worker.
+type pairView struct {
+	p      *Pair
+	name   string
+	worker int
+	whole  bool
+}
+
+// Name implements Counter.
+func (v *pairView) Name() string { return v.name }
+
+// Value implements Counter.
+func (v *pairView) Value() float64 {
+	var part, whole int64
+	if v.worker < 0 {
+		part, whole = v.p.Totals()
+	} else {
+		part, whole = v.p.Worker(v.worker)
+	}
+	if v.whole {
+		return float64(whole)
+	}
+	return float64(part)
+}
+
+// Reset implements Counter: it zeroes the whole pair.
+func (v *pairView) Reset() { v.p.Reset() }
+
+// Monotonic reports whether c only ever grows between resets: cumulative,
+// per-worker and pair counters, except a pair's gauge-exported whole.
+// Exporters type such counters as OpenMetrics counters, and audits check
+// they never run backwards.
+func Monotonic(c Counter) bool {
+	switch c := c.(type) {
+	case *Cumulative, *PerWorker:
+		return true
+	case *pairView:
+		return !c.whole || !c.p.wholeGauge
+	}
+	return false
+}
+
 // Registry maps symbolic names to counters, providing the runtime-query
 // interface the methodology relies on ("HPX counters are easily accessible
 // through an API at runtime").
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]Counter
+	pairs    []*Pair
 }
 
 // NewRegistry returns an empty registry.
@@ -255,7 +431,8 @@ func (r *Registry) Names() []string {
 // Snapshot reads every counter at (approximately) one instant.
 //
 // Weak-consistency contract: each counter is read once, in map-iteration
-// order, with no global epoch — counters updated concurrently may be
+// order, with no global epoch (a Pair is the exception: both its names
+// come from one read of its slots) — counters updated concurrently may be
 // observed at slightly different moments within the same snapshot, so two
 // counters in one Snapshot are individually exact but not mutually atomic
 // (a derived ratio read here may disagree in the last digit with the same
@@ -269,7 +446,12 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	s := make(Snapshot, len(r.counters))
 	for n, c := range r.counters {
-		s[n] = c.Value()
+		if _, ok := c.(*pairView); !ok {
+			s[n] = c.Value()
+		}
+	}
+	for _, p := range r.pairs {
+		p.readInto(s)
 	}
 	return s
 }
@@ -401,5 +583,34 @@ func (r *Registry) RegisterInstances(pw *PerWorker) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// RegisterPair registers p's part and whole names, in total and per worker
+// instance (named per InstanceName; none for a gauge whole), and has
+// Snapshot read each worker's pair of slots once for all of them.
+func (r *Registry) RegisterPair(p *Pair) error {
+	n := len(p.slots)
+	p.partInst, p.wholeInst = make([]string, n), make([]string, n)
+	views := []*pairView{
+		{p: p, name: p.part, worker: -1},
+		{p: p, name: p.whole, worker: -1, whole: true},
+	}
+	for w := 0; w < n; w++ {
+		p.partInst[w] = InstanceName(p.part, w)
+		views = append(views, &pairView{p: p, name: p.partInst[w], worker: w})
+		if !p.wholeGauge {
+			p.wholeInst[w] = InstanceName(p.whole, w)
+			views = append(views, &pairView{p: p, name: p.wholeInst[w], worker: w, whole: true})
+		}
+	}
+	for _, v := range views {
+		if err := r.Register(v); err != nil {
+			return err
+		}
+	}
+	r.mu.Lock()
+	r.pairs = append(r.pairs, p)
+	r.mu.Unlock()
 	return nil
 }

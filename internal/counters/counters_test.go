@@ -478,3 +478,121 @@ func TestSubAcrossRegistrySwapUnderWriters(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func TestPairExportsPartAndWhole(t *testing.T) {
+	r := NewRegistry()
+	p := NewPair(PendingMisses, PendingAccesses, 2)
+	if err := r.RegisterPair(p); err != nil {
+		t.Fatal(err)
+	}
+	p.AddPart(0, 3) // misses
+	p.AddRest(0, 4) // hits
+	p.AddRest(1, 5)
+	want := map[string]float64{
+		PendingMisses:                    3,
+		PendingAccesses:                  12,
+		InstanceName(PendingMisses, 0):   3,
+		InstanceName(PendingAccesses, 0): 7,
+		InstanceName(PendingMisses, 1):   0,
+		InstanceName(PendingAccesses, 1): 5,
+	}
+	s := r.Snapshot()
+	for n, v := range want {
+		if s[n] != v {
+			t.Errorf("snapshot %s = %v, want %v", n, s[n], v)
+		}
+		if got, _ := r.Value(n); got != v {
+			t.Errorf("Value(%s) = %v, want %v", n, got, v)
+		}
+	}
+	if len(s) != len(want) {
+		t.Errorf("snapshot has %d names, want %d", len(s), len(want))
+	}
+	for _, n := range r.Names() {
+		c, _ := r.Get(n)
+		if !Monotonic(c) {
+			t.Errorf("%s not monotonic", n)
+		}
+	}
+	r.ResetAll()
+	if part, whole := p.Totals(); part != 0 || whole != 0 {
+		t.Fatalf("after ResetAll: %d, %d", part, whole)
+	}
+}
+
+func TestPairWholeAsGauge(t *testing.T) {
+	r := NewRegistry()
+	p := NewPair(TimeExecTotal, TimeFuncTotal, 2).WholeAsGauge()
+	if err := r.RegisterPair(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Get(InstanceName(TimeFuncTotal, 0)); ok {
+		t.Fatal("gauge whole registered per-worker instances")
+	}
+	if _, ok := r.Get(InstanceName(TimeExecTotal, 1)); !ok {
+		t.Fatal("part instance missing")
+	}
+	whole, _ := r.Get(TimeFuncTotal)
+	part, _ := r.Get(TimeExecTotal)
+	if Monotonic(whole) || !Monotonic(part) {
+		t.Fatalf("Monotonic(whole) = %v, Monotonic(part) = %v", Monotonic(whole), Monotonic(part))
+	}
+}
+
+func TestPairOpenRestCountsLive(t *testing.T) {
+	var now int64
+	p := NewPair("/test/part", "/test/whole", 1).WithClock(func() int64 { return now })
+	p.AddRest(0, 10)
+	p.OpenRest(0, 0) // the clock may start at zero
+	now = 25
+	if _, whole := p.Worker(0); whole != 35 {
+		t.Fatalf("open interval: whole = %d, want 35", whole)
+	}
+	now = 40
+	if at := p.CloseRest(0); at != 40 {
+		t.Fatalf("CloseRest = %d, want 40", at)
+	}
+	now = 100 // closed: no longer grows
+	if _, whole := p.Worker(0); whole != 50 {
+		t.Fatalf("closed interval: whole = %d, want 50", whole)
+	}
+}
+
+// TestPairReadingsConsistentUnderWriters checks part ≤ whole and both
+// monotonic across readings while a writer adds to both and opens and
+// closes live intervals.
+func TestPairReadingsConsistentUnderWriters(t *testing.T) {
+	start := time.Now()
+	clock := func() int64 { return int64(time.Since(start)) }
+	p := NewPair("/test/part", "/test/whole", 1).WithClock(clock)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mark := clock()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			begin := clock()
+			p.AddRest(0, begin-mark)
+			end := clock()
+			p.AddPart(0, end-begin)
+			p.OpenRest(0, end)
+			mark = p.CloseRest(0)
+		}
+	}()
+	var prevPart, prevWhole int64
+	for i := 0; i < 20000; i++ {
+		part, whole := p.Worker(0)
+		if part > whole || part < prevPart || whole < prevWhole || whole-prevWhole < part-prevPart {
+			t.Fatalf("reading %d: (%d, %d) after (%d, %d)", i, part, whole, prevPart, prevWhole)
+		}
+		prevPart, prevWhole = part, whole
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -2,6 +2,7 @@ package future
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,7 +246,6 @@ func TestAwaitChainManyPhases(t *testing.T) {
 	for i := range proms {
 		proms[i], futs[i] = NewPromise[int]()
 	}
-	started := make(chan struct{})
 	sum := make(chan int, 1)
 	var chain func(c *taskrt.Context, i, acc int)
 	chain = func(c *taskrt.Context, i, acc int) {
@@ -255,12 +255,13 @@ func TestAwaitChainManyPhases(t *testing.T) {
 		}
 		Await(c, futs[i], func(c2 *taskrt.Context, v int) { chain(c2, i+1, acc+v) })
 	}
-	rt.Spawn(func(c *taskrt.Context) {
-		close(started)
-		chain(c, 0, 0)
-	})
-	<-started
+	task := rt.Spawn(func(c *taskrt.Context) { chain(c, 0, 0) })
 	for i, p := range proms {
+		// Complete each future only once the task has suspended on it;
+		// one completed earlier would let Await take its inline path.
+		for task.Phases() != int64(i+1) || task.State() != taskrt.Suspended {
+			runtime.Gosched()
+		}
 		p.Set(i + 1)
 	}
 	if got := <-sum; got != 15 {
@@ -272,8 +273,8 @@ func TestAwaitChainManyPhases(t *testing.T) {
 	if nt != 1 {
 		t.Fatalf("tasks = %v, want 1", nt)
 	}
-	if phases < 2 {
-		t.Fatalf("phases = %v, want >= 2 (suspensions must create phases)", phases)
+	if phases != k+1 {
+		t.Fatalf("phases = %v, want %d (suspensions must create phases)", phases, k+1)
 	}
 }
 

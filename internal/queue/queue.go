@@ -103,21 +103,25 @@ func (q *MSQueue[T]) Pop() (T, bool) {
 }
 
 // PushBatch appends vs in order with a single linearization point: the
-// nodes are linked into a private chain first, then the whole chain is
-// spliced onto the tail with one successful CAS — one contention window per
-// batch instead of one per element. Afterwards the tail pointer may lag
-// inside the chain; the usual Michael–Scott helping in Push/Pop advances it.
+// nodes are carved from one slab allocation and linked into a private chain
+// first, then the whole chain is spliced onto the tail with one successful
+// CAS — one contention window per batch instead of one per element.
+// Afterwards the tail pointer may lag inside the chain; the usual
+// Michael–Scott helping in Push/Pop advances it. A popped node stays the
+// dummy until the next pop, so it keeps its slab (not the values, which pop
+// clears) reachable until then.
 func (q *MSQueue[T]) PushBatch(vs []T) {
 	if len(vs) == 0 {
 		return
 	}
-	first := &node[T]{value: vs[0]}
-	last := first
-	for _, v := range vs[1:] {
-		n := &node[T]{value: v}
-		last.next.Store(n)
-		last = n
+	nodes := make([]node[T], len(vs))
+	for i, v := range vs {
+		nodes[i].value = v
+		if i > 0 {
+			nodes[i-1].next.Store(&nodes[i])
+		}
 	}
+	first, last := &nodes[0], &nodes[len(nodes)-1]
 	for {
 		tail := q.tail.Load()
 		next := tail.next.Load()

@@ -3,6 +3,10 @@ package taskrt
 // Context is passed to every task phase. It identifies the executing worker
 // and task, and provides the cooperative-scheduling operations a phase may
 // perform: spawning children and suspending into a continuation.
+//
+// A task owns one Context, reset at the start of each phase, so a phase must
+// not use its *Context after it returns: a resumed phase sees the same
+// pointer reporting its own worker.
 type Context struct {
 	rt     *Runtime
 	worker int

@@ -2,6 +2,7 @@ package taskrt
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // Group tracks a set of spawned tasks so an application goroutine can wait
@@ -15,17 +16,21 @@ import (
 // Group.Wait blocks the calling goroutine; do not call it from inside a
 // task phase (suspend on futures instead — workers must never block).
 type Group struct {
-	rt *Runtime
+	rt      *Runtime
+	pending atomic.Int64
+	done    func(*Task, any) // taskDone, bound once rather than per spawn
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending int
-	panics  []any
+	// mu guards panics and pairs with cond; a completion takes it only to
+	// record a panic or to wake Wait on the last completion.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	panics []any
 }
 
 // NewGroup creates an empty task group on rt.
 func (rt *Runtime) NewGroup() *Group {
 	g := &Group{rt: rt}
+	g.done = g.taskDone
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -33,13 +38,8 @@ func (rt *Runtime) NewGroup() *Group {
 // Spawn adds one task to the group. The returned task is the same handle
 // rt.Spawn would return.
 func (g *Group) Spawn(fn func(*Context), opts ...SpawnOption) *Task {
-	g.mu.Lock()
-	g.pending++
-	g.mu.Unlock()
-	// Completion rides the runtime's termination callback (covers normal
-	// exit, panics, and cancellation); the wrapper only captures panic
-	// values for Panics().
-	return g.rt.spawnInternal(g.wrap(fn), g.taskDone, opts...)
+	g.pending.Add(1)
+	return g.rt.spawnInternal(fn, g.done, opts...)
 }
 
 // SpawnBatch adds len(fns) tasks to the group through one
@@ -48,40 +48,25 @@ func (g *Group) SpawnBatch(fns []func(*Context), opts ...SpawnOption) []*Task {
 	if len(fns) == 0 {
 		return nil
 	}
-	g.mu.Lock()
-	g.pending += len(fns)
-	g.mu.Unlock()
-	wrapped := make([]func(*Context), len(fns))
-	for i, fn := range fns {
-		wrapped[i] = g.wrap(fn)
-	}
-	return g.rt.spawnBatchInternal(wrapped, g.taskDone, opts...)
+	g.pending.Add(int64(len(fns)))
+	return g.rt.spawnBatchInternal(fns, g.done, opts...)
 }
 
-// wrap captures a task phase's panic value for Panics() before re-panicking
-// into the runtime's containment (which counts it and terminates the task).
-func (g *Group) wrap(fn func(*Context)) func(*Context) {
-	return func(c *Context) {
-		defer func() {
-			if r := recover(); r != nil {
-				g.mu.Lock()
-				g.panics = append(g.panics, r)
-				g.mu.Unlock()
-				panic(r)
-			}
-		}()
-		fn(c)
+// taskDone is the runtime's termination callback for group tasks (normal
+// exit, panic, or cancellation); recovered is the panic value, if any.
+func (g *Group) taskDone(_ *Task, recovered any) {
+	if recovered != nil {
+		g.mu.Lock()
+		g.panics = append(g.panics, recovered)
+		g.mu.Unlock()
 	}
-}
-
-// taskDone is the runtime's termination callback for group tasks.
-func (g *Group) taskDone(*Task) {
-	g.mu.Lock()
-	g.pending--
-	if g.pending == 0 {
+	if g.pending.Add(-1) == 0 {
+		// Wait checks the count under mu, so broadcasting under mu cannot
+		// slip between its check and its sleep.
+		g.mu.Lock()
 		g.cond.Broadcast()
+		g.mu.Unlock()
 	}
-	g.mu.Unlock()
 }
 
 // Wait blocks until every task spawned through the group has terminated
@@ -90,7 +75,7 @@ func (g *Group) taskDone(*Task) {
 func (g *Group) Wait() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.pending > 0 {
+	for g.pending.Load() > 0 {
 		g.cond.Wait()
 	}
 	return len(g.panics)

@@ -67,9 +67,9 @@ func (p *parker) forceWake() {
 
 // parkWorker blocks worker w until a wake token arrives or d elapses,
 // reporting whether it was woken by a signal (true) or the timeout backstop
-// (false). Parked time still accrues to t_func — the worker's loopStart
-// stays live — so starvation surfaces in the idle-rate exactly as in the
-// paper.
+// (false). Parked time still accrues to t_func — the worker's idle interval
+// stays open in the loop pair while it waits — so starvation surfaces in
+// the idle-rate exactly as in the paper.
 func (rt *Runtime) parkWorker(w int, d time.Duration) (signaled bool) {
 	p := &rt.parkers[w]
 	// Fast path: consume a token left by a wake that raced a previous

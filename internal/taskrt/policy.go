@@ -56,24 +56,27 @@ func ParsePolicy(s string) (PolicyKind, error) {
 }
 
 // policyCounters are the queue-activity counters every policy maintains,
-// sharded by the worker owning the probed queue.
+// sharded by the worker owning the probed queue. A queue's look-ups are a
+// pair: misses, of accesses = hits + misses (see countMiss/countHit).
 type policyCounters struct {
-	pendingAcc  *counters.PerWorker
-	pendingMiss *counters.PerWorker
-	stagedAcc   *counters.PerWorker
-	stagedMiss  *counters.PerWorker
-	stolen      *counters.PerWorker
+	pending *counters.Pair
+	staged  *counters.Pair
+	stolen  *counters.PerWorker
 }
 
 func newPolicyCounters(workers int) *policyCounters {
 	return &policyCounters{
-		pendingAcc:  counters.NewPerWorker(counters.PendingAccesses, workers),
-		pendingMiss: counters.NewPerWorker(counters.PendingMisses, workers),
-		stagedAcc:   counters.NewPerWorker(counters.StagedAccesses, workers),
-		stagedMiss:  counters.NewPerWorker(counters.StagedMisses, workers),
-		stolen:      counters.NewPerWorker(counters.CountStolen, workers),
+		pending: counters.NewPair(counters.PendingMisses, counters.PendingAccesses, workers),
+		staged:  counters.NewPair(counters.StagedMisses, counters.StagedAccesses, workers),
+		stolen:  counters.NewPerWorker(counters.CountStolen, workers),
 	}
 }
+
+// countMiss records a look-up of worker w's queue that found no work.
+func countMiss(look *counters.Pair, w int) { look.AddPart(w, 1) }
+
+// countHit records a look-up of worker w's queue that found work.
+func countHit(look *counters.Pair, w int) { look.AddRest(w, 1) }
 
 // schedPolicy is the queue structure + discovery order of a scheduler.
 // Implementations must be safe for concurrent use by all workers.
@@ -159,6 +162,9 @@ type priorityLocal struct {
 
 	place placer
 
+	// convert is each worker's scratch buffer for convertLocalStaged.
+	convert [][]*Task
+
 	// victim orders cached per worker, split by NUMA locality
 	localVictims  [][]int
 	remoteVictims [][]int
@@ -186,10 +192,12 @@ func newPriorityLocal(topo *topology.Topology, pc *policyCounters, highQueues, s
 		hpStaged:    make([]*queue.MSQueue[*Task], highQueues),
 		low:         queue.NewMS[*Task](),
 		place:       placer{workers: n},
+		convert:     make([][]*Task, n),
 	}
 	for i := 0; i < n; i++ {
 		p.pending[i] = queue.NewMS[*Task]()
 		p.staged[i] = queue.NewMS[*Task]()
+		p.convert[i] = make([]*Task, 0, stagedBatch)
 	}
 	for i := 0; i < highQueues; i++ {
 		p.hpPending[i] = queue.NewMS[*Task]()
@@ -268,42 +276,43 @@ func (p *priorityLocal) pushPending(t *Task) int {
 	}
 }
 
-// popPending pops worker owner's pending queue, counting access and miss.
-func (p *priorityLocal) popPending(owner int) *Task {
-	p.pc.pendingAcc.Inc(owner)
-	t, ok := p.pending[owner].Pop()
+// popCounted pops q, counting a hit or a miss on worker owner's pair.
+func popCounted(q *queue.MSQueue[*Task], look *counters.Pair, owner int) *Task {
+	t, ok := q.Pop()
 	if !ok {
-		p.pc.pendingMiss.Inc(owner)
+		countMiss(look, owner)
 		return nil
 	}
+	countHit(look, owner)
 	return t
 }
 
-// popStaged pops worker owner's staged queue, counting access and miss.
+// popPending pops worker owner's pending queue, counting hit or miss.
+func (p *priorityLocal) popPending(owner int) *Task {
+	return popCounted(p.pending[owner], p.pc.pending, owner)
+}
+
+// popStaged pops worker owner's staged queue, counting hit or miss.
 func (p *priorityLocal) popStaged(owner int) *Task {
-	p.pc.stagedAcc.Inc(owner)
-	t, ok := p.staged[owner].Pop()
-	if !ok {
-		p.pc.stagedMiss.Inc(owner)
-		return nil
-	}
-	return t
+	return popCounted(p.staged[owner], p.pc.staged, owner)
 }
 
 // convertLocalStaged moves up to stagedBatch staged tasks of worker w into
-// w's pending queue (HPX's wait_or_add_new), reporting whether any moved.
+// w's pending queue with one batched push (HPX's wait_or_add_new),
+// reporting whether any moved.
 func (p *priorityLocal) convertLocalStaged(w int) bool {
-	moved := false
-	for i := 0; i < p.stagedBatch; i++ {
+	batch := p.convert[w][:0]
+	for len(batch) < p.stagedBatch {
 		t := p.popStaged(w)
 		if t == nil {
 			break
 		}
 		t.transition(Staged, Pending)
-		p.pending[w].Push(t)
-		moved = true
+		batch = append(batch, t)
 	}
-	return moved
+	p.pending[w].PushBatch(batch)
+	clear(batch)
+	return len(batch) > 0
 }
 
 func (p *priorityLocal) next(w int) *Task {
@@ -414,17 +423,13 @@ func (s *staticRR) pushPending(t *Task) int {
 }
 
 func (s *staticRR) next(w int) *Task {
-	s.pc.pendingAcc.Inc(w)
-	if t, ok := s.pending[w].Pop(); ok {
+	if t := popCounted(s.pending[w], s.pc.pending, w); t != nil {
 		return t
 	}
-	s.pc.pendingMiss.Inc(w)
-	s.pc.stagedAcc.Inc(w)
-	if t, ok := s.staged[w].Pop(); ok {
+	if t := popCounted(s.staged[w], s.pc.staged, w); t != nil {
 		t.transition(Staged, Pending)
 		return t
 	}
-	s.pc.stagedMiss.Inc(w)
 	return nil
 }
 
@@ -482,11 +487,11 @@ func (s *stealLIFO) pushPending(t *Task) int {
 }
 
 func (s *stealLIFO) next(w int) *Task {
-	s.pc.pendingAcc.Inc(w)
 	if t, ok := s.deques[w].Pop(); ok {
+		countHit(s.pc.pending, w)
 		return t
 	}
-	s.pc.pendingMiss.Inc(w)
+	countMiss(s.pc.pending, w)
 	// Random starting victim avoids convoying; then sweep the NUMA order.
 	order := s.order[w]
 	if len(order) == 0 {
@@ -495,12 +500,12 @@ func (s *stealLIFO) next(w int) *Task {
 	start := s.rng[w].Intn(len(order))
 	for i := 0; i < len(order); i++ {
 		v := order[(start+i)%len(order)]
-		s.pc.pendingAcc.Inc(v)
 		if t, ok := s.deques[v].Steal(); ok {
+			countHit(s.pc.pending, v)
 			s.pc.stolen.Inc(w)
 			return t
 		}
-		s.pc.pendingMiss.Inc(v)
+		countMiss(s.pc.pending, v)
 	}
 	return nil
 }

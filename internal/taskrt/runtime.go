@@ -107,27 +107,24 @@ type Runtime struct {
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
 
-	// execTotal accumulates Σt_exec (ns) per worker; funcDone accumulates
-	// completed loop time; loopStart holds each running worker's loop start
-	// so Σt_func can be read while the runtime is live.
-	execTotal *counters.PerWorker
-	funcDone  *counters.PerWorker
-	loopStart []atomic.Int64 // unix ns; 0 when worker not running
-	// funcReported latches the highest Σt_func ever returned so concurrent
-	// interval hand-offs between loopStart and funcDone can never make
-	// FuncTotal appear to run backwards.
-	funcReported atomic.Int64
-	tasksRun     *counters.PerWorker
-	phasesRun    *counters.PerWorker
-	suspCount    *counters.PerWorker
-	exceptions   *counters.PerWorker
-	cancels      *counters.PerWorker
-	durHist      *counters.Histogram
+	// loop is Eq. 1's pair: each worker's scheduler-loop time Σt_func (ns)
+	// split into time inside task phases, Σt_exec, and the rest. A worker
+	// adds an interval when it closes (see workerLoop), so the two are read
+	// from the same slots and Σt_exec ≤ Σt_func holds in every reading.
+	loop       *counters.Pair
+	tasksRun   *counters.PerWorker
+	phasesRun  *counters.PerWorker
+	suspCount  *counters.PerWorker
+	exceptions *counters.PerWorker
+	cancels    *counters.PerWorker
+	durHist    *counters.Histogram
 
-	stop      atomic.Bool
-	started   atomic.Bool
-	traceBase time.Time
-	wg        sync.WaitGroup
+	stop    atomic.Bool
+	started atomic.Bool
+	// base is the Start instant. Phase stamps, loop accounting and trace
+	// events are monotonic offsets from it (see now).
+	base time.Time
+	wg   sync.WaitGroup
 
 	// activeLimit is the worker-throttle level (Porterfield-style adaptive
 	// throttling, paper Sec. V/VI): workers with index >= activeLimit pause
@@ -184,9 +181,7 @@ func New(opts ...Option) *Runtime {
 		topo:       topo,
 		pc:         newPolicyCounters(topo.Workers()),
 		reg:        counters.NewRegistry(),
-		execTotal:  counters.NewPerWorker(counters.TimeExecTotal, topo.Workers()),
-		funcDone:   counters.NewPerWorker("/threads/time/func-done", topo.Workers()),
-		loopStart:  make([]atomic.Int64, topo.Workers()),
+		loop:       counters.NewPair(counters.TimeExecTotal, counters.TimeFuncTotal, topo.Workers()).WholeAsGauge(),
 		tasksRun:   counters.NewPerWorker(counters.CountCumulative, topo.Workers()),
 		phasesRun:  counters.NewPerWorker(counters.CountCumulativePhases, topo.Workers()),
 		suspCount:  counters.NewPerWorker("/threads/count/suspended", topo.Workers()),
@@ -200,6 +195,7 @@ func New(opts ...Option) *Runtime {
 		wakeups:      counters.NewPerWorker(counters.CountWakeups, topo.Workers()),
 		parkTimeouts: counters.NewPerWorker(counters.CountParkTimeouts, topo.Workers()),
 	}
+	rt.loop.WithClock(rt.now)
 	rt.idleCond = sync.NewCond(&rt.idleMu)
 	rt.throttleCond = sync.NewCond(&rt.throttleMu)
 	rt.activeLimit.Store(int32(topo.Workers()))
@@ -226,13 +222,8 @@ func New(opts ...Option) *Runtime {
 // HPX-compatible names.
 func (rt *Runtime) registerCounters() {
 	r := rt.reg
-	r.MustRegister(rt.execTotal)
 	r.MustRegister(rt.tasksRun)
 	r.MustRegister(rt.phasesRun)
-	r.MustRegister(rt.pc.pendingAcc)
-	r.MustRegister(rt.pc.pendingMiss)
-	r.MustRegister(rt.pc.stagedAcc)
-	r.MustRegister(rt.pc.stagedMiss)
 	r.MustRegister(rt.pc.stolen)
 	r.MustRegister(rt.suspCount)
 	r.MustRegister(rt.exceptions)
@@ -241,58 +232,47 @@ func (rt *Runtime) registerCounters() {
 	r.MustRegister(rt.wakeSignals)
 	r.MustRegister(rt.wakeups)
 	r.MustRegister(rt.parkTimeouts)
-	// Per-worker instances, addressable as /threads{worker-thread#N}/...
+	// Pairs and per-worker counters, with their instances addressable as
+	// /threads{worker-thread#N}/...
+	for _, p := range []*counters.Pair{rt.loop, rt.pc.pending, rt.pc.staged} {
+		if err := r.RegisterPair(p); err != nil {
+			panic(err)
+		}
+	}
 	for _, pw := range []*counters.PerWorker{
-		rt.execTotal, rt.tasksRun, rt.phasesRun,
-		rt.pc.pendingAcc, rt.pc.pendingMiss, rt.pc.stagedAcc, rt.pc.stagedMiss,
+		rt.tasksRun, rt.phasesRun,
 		rt.pc.stolen, rt.wakeSignals, rt.wakeups, rt.parkTimeouts,
 	} {
 		if err := r.RegisterInstances(pw); err != nil {
 			panic(err)
 		}
 	}
-	r.MustRegister(counters.NewDerived(counters.TimeFuncTotal, func() float64 {
-		return float64(rt.FuncTotal())
-	}))
 	r.MustRegister(counters.NewDerived(counters.IdleRate, func() float64 {
-		f := float64(rt.FuncTotal())
+		e, f := rt.loop.Totals()
 		if f <= 0 {
 			return 0
 		}
-		ir := (f - float64(rt.execTotal.Total())) / f
-		if ir < 0 {
-			return 0
-		}
-		return ir
+		return float64(f-e) / float64(f)
 	}))
-	r.MustRegister(counters.NewDerived(counters.TimeAverage, func() float64 {
-		n := rt.tasksRun.Total()
-		if n == 0 {
-			return 0
-		}
-		return float64(rt.execTotal.Total()) / float64(n)
-	}))
-	r.MustRegister(counters.NewDerived(counters.TimeAverageOverhead, func() float64 {
-		n := rt.tasksRun.Total()
-		if n == 0 {
-			return 0
-		}
-		return float64(rt.FuncTotal()-rt.execTotal.Total()) / float64(n)
-	}))
-	r.MustRegister(counters.NewDerived(counters.TimeAveragePhase, func() float64 {
-		n := rt.phasesRun.Total()
-		if n == 0 {
-			return 0
-		}
-		return float64(rt.execTotal.Total()) / float64(n)
-	}))
-	r.MustRegister(counters.NewDerived(counters.TimeAveragePhaseOvh, func() float64 {
-		n := rt.phasesRun.Total()
-		if n == 0 {
-			return 0
-		}
-		return float64(rt.FuncTotal()-rt.execTotal.Total()) / float64(n)
-	}))
+	// average registers Σt_exec (exec) or Σt_func−Σt_exec divided by a task
+	// or phase count.
+	average := func(name string, n *counters.PerWorker, exec bool) {
+		r.MustRegister(counters.NewDerived(name, func() float64 {
+			k := n.Total()
+			if k == 0 {
+				return 0
+			}
+			e, f := rt.loop.Totals()
+			if exec {
+				return float64(e) / float64(k)
+			}
+			return float64(f-e) / float64(k)
+		}))
+	}
+	average(counters.TimeAverage, rt.tasksRun, true)
+	average(counters.TimeAverageOverhead, rt.tasksRun, false)
+	average(counters.TimeAveragePhase, rt.phasesRun, true)
+	average(counters.TimeAveragePhaseOvh, rt.phasesRun, false)
 }
 
 // Counters returns the runtime's performance-counter registry.
@@ -312,44 +292,23 @@ func (rt *Runtime) Workers() int { return rt.topo.Workers() }
 func (rt *Runtime) Policy() PolicyKind { return rt.cfg.Policy }
 
 // FuncTotal returns Σt_func in nanoseconds: total scheduler-loop time over
-// all workers, including time spent searching for work (this is what makes
-// starvation visible in the idle-rate, Sec. IV-A). The reading is monotonic
-// non-negative even while workers hand live intervals off to the completed
-// total (throttling, shutdown).
+// all workers, including time spent searching for work and parked (this is
+// what makes starvation visible in the idle-rate, Sec. IV-A). A busy worker
+// adds its loop time as each phase ends; an idle one — from its first empty
+// discovery sweep until it finds work, parked or not — counts live. The
+// reading is monotonic and lags a worker by at most its current phase and
+// the dispatch around it.
 func (rt *Runtime) FuncTotal() int64 {
-	now := time.Now().UnixNano()
-	var total int64
-	for w := range rt.loopStart {
-		// Per worker: read the completed total BEFORE the live loop start.
-		// Workers hand an interval off in the opposite order (clear
-		// loopStart, then add to funcDone), so an interval completing
-		// between the two reads is counted at most once — a transient
-		// undercount, never a double count. The now > s clamp discards a
-		// loop start that lands after the captured instant, which would
-		// otherwise contribute a negative delta.
-		done := rt.funcDone.Worker(w)
-		if s := rt.loopStart[w].Load(); s != 0 && now > s {
-			done += now - s
-		}
-		total += done
-	}
-	// Latch the high-water mark: a hand-off between our two reads can make
-	// this raw sum smaller than a previous reading that included the live
-	// interval. Callers polling FuncTotal must never see it regress.
-	for {
-		prev := rt.funcReported.Load()
-		if total <= prev {
-			return prev
-		}
-		if rt.funcReported.CompareAndSwap(prev, total) {
-			return total
-		}
-	}
+	_, f := rt.loop.Totals()
+	return f
 }
 
 // ExecTotal returns Σt_exec in nanoseconds: total time spent inside task
 // phases over all workers.
-func (rt *Runtime) ExecTotal() int64 { return rt.execTotal.Total() }
+func (rt *Runtime) ExecTotal() int64 {
+	e, _ := rt.loop.Totals()
+	return e
+}
 
 // Inflight returns the number of tasks currently staged, pending, active, or
 // suspended — the live backlog an external admission controller bounds. The
@@ -366,7 +325,7 @@ func (rt *Runtime) Start() {
 	if !rt.started.CompareAndSwap(false, true) {
 		panic("taskrt: Start called twice")
 	}
-	rt.traceBase = time.Now()
+	rt.base = time.Now()
 	for w := 0; w < rt.topo.Workers(); w++ {
 		rt.wg.Add(1)
 		go rt.workerLoop(w)
@@ -432,19 +391,9 @@ func (rt *Runtime) Spawn(fn func(*Context), opts ...SpawnOption) *Task {
 
 // spawnInternal is Spawn plus a termination callback wired before the task
 // becomes visible to the scheduler (setting it afterwards would race).
-func (rt *Runtime) spawnInternal(fn func(*Context), onDone func(*Task), opts ...SpawnOption) *Task {
-	t := &Task{
-		id:       rt.nextID.Add(1),
-		fn:       fn,
-		priority: PriorityNormal,
-		hint:     AnyWorker,
-		rt:       rt,
-	}
-	t.state.Store(int32(Staged))
-	t.onDone = onDone
-	for _, o := range opts {
-		o(t)
-	}
+func (rt *Runtime) spawnInternal(fn func(*Context), onDone func(*Task, any), opts ...SpawnOption) *Task {
+	t := &Task{}
+	t.init(rt, rt.nextID.Add(1), fn, onDone, opts)
 	rt.inflight.Add(1)
 	rt.trace(trace.Spawn, t.id, -1)
 	home := rt.policy.pushStaged(t)
@@ -453,40 +402,33 @@ func (rt *Runtime) spawnInternal(fn func(*Context), onDone func(*Task), opts ...
 }
 
 // SpawnBatch creates one task per element of fns in a single scheduler
-// transaction: IDs and the inflight count are reserved with one atomic add
-// each, the staged pushes are batched per destination queue (MSQueue
-// PushBatch — one CAS window per queue instead of one per task), and at
-// most one parked worker is woken for the whole batch; the rest pick the
-// work up through normal discovery/stealing. opts apply to every task in
-// the batch. Bulk spawn sites (parallel loops, stencil waves, taskbench
-// step fan-out) use this to amortize the spawn-side cost that per-task
-// Spawn pays at fine grain.
+// transaction: the task records come from one slab allocation, IDs and the
+// inflight count are reserved with one atomic add each, the staged pushes
+// are batched per destination queue (MSQueue PushBatch — one CAS window and
+// one node slab per queue instead of one per task), and at most one parked
+// worker is woken for the whole batch; the rest pick the work up through
+// normal discovery/stealing. opts apply to every task in the batch. Bulk
+// spawn sites (parallel loops, stencil waves, taskbench step fan-out) use
+// this to amortize the spawn-side cost that per-task Spawn pays at fine
+// grain. Every returned handle stays valid on its own; a live handle keeps
+// its whole batch's slab reachable.
 func (rt *Runtime) SpawnBatch(fns []func(*Context), opts ...SpawnOption) []*Task {
 	return rt.spawnBatchInternal(fns, nil, opts...)
 }
 
 // spawnBatchInternal is SpawnBatch plus the pre-visibility termination
 // callback, mirroring spawnInternal.
-func (rt *Runtime) spawnBatchInternal(fns []func(*Context), onDone func(*Task), opts ...SpawnOption) []*Task {
+func (rt *Runtime) spawnBatchInternal(fns []func(*Context), onDone func(*Task, any), opts ...SpawnOption) []*Task {
 	n := len(fns)
 	if n == 0 {
 		return nil
 	}
 	base := rt.nextID.Add(uint64(n)) - uint64(n)
+	slab := make([]Task, n)
 	tasks := make([]*Task, n)
 	for i, fn := range fns {
-		t := &Task{
-			id:       base + uint64(i) + 1,
-			fn:       fn,
-			priority: PriorityNormal,
-			hint:     AnyWorker,
-			rt:       rt,
-		}
-		t.state.Store(int32(Staged))
-		t.onDone = onDone
-		for _, o := range opts {
-			o(t)
-		}
+		t := &slab[i]
+		t.init(rt, base+uint64(i)+1, fn, onDone, opts)
 		tasks[i] = t
 	}
 	rt.inflight.Add(int64(n))
@@ -500,6 +442,9 @@ func (rt *Runtime) spawnBatchInternal(fns []func(*Context), onDone func(*Task), 
 	return tasks
 }
 
+// now reads the runtime's one clock: monotonic nanoseconds since Start.
+func (rt *Runtime) now() int64 { return int64(time.Since(rt.base)) }
+
 // trace records an event if a tracer is attached. The base is Start time;
 // events before Start stamp small negative offsets, which Chrome accepts.
 func (rt *Runtime) trace(kind trace.Kind, taskID uint64, worker int) {
@@ -510,7 +455,7 @@ func (rt *Runtime) trace(kind trace.Kind, taskID uint64, worker int) {
 		Kind:   kind,
 		TaskID: taskID,
 		Worker: worker,
-		TsNs:   time.Since(rt.traceBase).Nanoseconds(),
+		TsNs:   rt.now(),
 	})
 }
 
@@ -548,11 +493,18 @@ func (rt *Runtime) taskDone() {
 // run it, account its time.
 func (rt *Runtime) workerLoop(w int) {
 	defer rt.wg.Done()
-	rt.loopStart[w].Store(time.Now().UnixNano())
+	// mark is the end of the worker's accounted loop time: everything before
+	// it is in rt.loop. While the worker finds work, the interval since mark
+	// is added when it closes (see runTask). From its first empty sweep
+	// until it finds work again it is idle and holds a rest interval open
+	// in rt.loop instead, so readings see discovery and parked time grow
+	// live; busy phases pay nothing for that.
+	mark, idle := rt.now(), false
 	defer func() {
-		if start := rt.loopStart[w].Swap(0); start != 0 {
-			rt.funcDone.Add(w, time.Now().UnixNano()-start)
+		if idle {
+			mark = rt.loop.CloseRest(w)
 		}
+		rt.loop.AddRest(w, rt.now()-mark)
 	}()
 
 	emptySweeps := 0
@@ -562,7 +514,10 @@ func (rt *Runtime) workerLoop(w int) {
 			return
 		}
 		if w >= int(rt.activeLimit.Load()) {
-			rt.throttledWait(w)
+			if idle {
+				mark, idle = rt.loop.CloseRest(w), false
+			}
+			mark = rt.throttledWait(w, mark)
 			emptySweeps = 0
 			parkWait = rt.cfg.ParkTimeout
 			continue
@@ -574,8 +529,17 @@ func (rt *Runtime) workerLoop(w int) {
 		if t != nil {
 			emptySweeps = 0
 			parkWait = rt.cfg.ParkTimeout
-			rt.runTask(w, t)
+			if idle {
+				mark, idle = rt.loop.CloseRest(w), false
+			}
+			mark = rt.runTask(w, t, mark)
 			continue
+		}
+		if !idle {
+			now := rt.now()
+			rt.loop.AddRest(w, now-mark)
+			rt.loop.OpenRest(w, now)
+			idle = true
 		}
 		emptySweeps++
 		if emptySweeps < rt.cfg.ParkAfter {
@@ -604,16 +568,15 @@ func (rt *Runtime) workerLoop(w int) {
 	}
 }
 
-// runTask executes one phase of t on worker w.
-func (rt *Runtime) runTask(w int, t *Task) {
+// runTask executes one phase of t on worker w, whose loop time is accounted
+// up to mark, and returns the new mark: the phase's end stamp.
+func (rt *Runtime) runTask(w int, t *Task, mark int64) int64 {
 	if t.cancelled.Load() {
 		// Lazy cancellation: discard at dispatch without running the phase.
 		t.transition(Pending, Active)
-		t.transition(Active, Terminated)
 		rt.cancels.Inc(w)
-		t.notifyDone()
-		rt.taskDone()
-		return
+		rt.terminate(t, nil)
+		return mark
 	}
 	t.transition(Pending, Active)
 	firstPhase := t.phases.Add(1) == 1
@@ -622,24 +585,25 @@ func (rt *Runtime) runTask(w int, t *Task) {
 	}
 	rt.phasesRun.Inc(w)
 
-	ctx := Context{rt: rt, worker: w, task: t}
+	ctx := &t.ctx
+	ctx.worker, ctx.suspended, ctx.cont = w, false, nil
 	rt.trace(trace.PhaseBegin, t.id, w)
-	start := time.Now()
-	panicked := rt.runPhase(t, &ctx)
-	durNs := time.Since(start).Nanoseconds()
-	rt.execTotal.Add(w, durNs)
+	start := rt.now()
+	recovered := rt.runPhase(t, ctx)
+	end := rt.now()
+	durNs := end - start
+	rt.loop.AddRest(w, start-mark)
+	rt.loop.AddPart(w, durNs)
 	rt.durHist.Observe(durNs)
 	rt.trace(trace.PhaseEnd, t.id, w)
 
-	if panicked {
+	if recovered != nil {
 		// A panic voids any suspension the phase had begun: the task
 		// terminates, the worker survives (HPX likewise confines uncaught
 		// exceptions to the failing thread).
 		rt.exceptions.Inc(w)
-		t.transition(Active, Terminated)
-		t.notifyDone()
-		rt.taskDone()
-		return
+		rt.terminate(t, recovered)
+		return end
 	}
 	if ctx.suspended {
 		// The phase ended in SuspendInto: install the continuation, move to
@@ -653,41 +617,48 @@ func (rt *Runtime) runTask(w int, t *Task) {
 		if t.resumeGate.Add(1) == 2 {
 			rt.resumeNow(t)
 		}
-		return
+		return end
 	}
+	rt.terminate(t, nil)
+	return end
+}
+
+// terminate ends active task t and reports it done, with the value its
+// phase panicked with, if any. It drops the task's closures: a handle can
+// outlive the task (and pins its batch's slab), its closures need not.
+func (rt *Runtime) terminate(t *Task, recovered any) {
 	t.transition(Active, Terminated)
-	t.notifyDone()
+	t.fn, t.ctx.cont = nil, nil
+	t.notifyDone(recovered)
 	rt.taskDone()
 }
 
-// runPhase invokes the task phase, recovering any panic. It reports whether
-// the phase panicked.
-func (rt *Runtime) runPhase(t *Task, ctx *Context) (panicked bool) {
+// runPhase invokes the task phase, recovering any panic. It returns the
+// recovered value, nil when the phase returned normally.
+func (rt *Runtime) runPhase(t *Task, ctx *Context) (recovered any) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
+			recovered = r
 			if rt.cfg.PanicHandler != nil {
 				rt.cfg.PanicHandler(t, r)
 			}
 		}
 	}()
 	t.fn(ctx)
-	return false
+	return nil
 }
 
 // throttledWait pauses worker w until the throttle limit rises or the
-// runtime stops. The paused interval is excluded from t_func so the
-// idle-rate keeps describing the *active* workers.
-func (rt *Runtime) throttledWait(w int) {
-	if start := rt.loopStart[w].Swap(0); start != 0 {
-		rt.funcDone.Add(w, time.Now().UnixNano()-start)
-	}
+// runtime stops, and returns the new mark. The paused interval is excluded
+// from t_func so the idle-rate keeps describing the *active* workers.
+func (rt *Runtime) throttledWait(w int, mark int64) int64 {
+	rt.loop.AddRest(w, rt.now()-mark)
 	rt.throttleMu.Lock()
 	for w >= int(rt.activeLimit.Load()) && !rt.stop.Load() {
 		rt.throttleCond.Wait()
 	}
 	rt.throttleMu.Unlock()
-	rt.loopStart[w].Store(time.Now().UnixNano())
+	return rt.now()
 }
 
 // resumeNow moves a suspended task back to a pending queue (Sec. I-B:

@@ -117,14 +117,33 @@ type Task struct {
 	cancelled atomic.Bool
 
 	// onDone, when set (by Group), runs exactly once when the task reaches
-	// Terminated — whether it completed, panicked, or was cancelled.
-	onDone func(*Task)
+	// Terminated — whether it completed, panicked, or was cancelled — with
+	// the value recovered from a panicking phase (nil otherwise).
+	onDone func(t *Task, recovered any)
+
+	// ctx is the phase context, reset at the start of every phase. It lives
+	// in the task so a phase costs no allocation.
+	ctx Context
+}
+
+// init fills a zero task record; the zero state is already Staged.
+func (t *Task) init(rt *Runtime, id uint64, fn func(*Context), onDone func(*Task, any), opts []SpawnOption) {
+	t.id = id
+	t.fn = fn
+	t.hint = AnyWorker
+	t.rt = rt
+	t.onDone = onDone
+	t.ctx.rt = rt
+	t.ctx.task = t
+	for _, o := range opts {
+		o(t)
+	}
 }
 
 // notifyDone invokes the termination callback, if any.
-func (t *Task) notifyDone() {
+func (t *Task) notifyDone(recovered any) {
 	if t.onDone != nil {
-		t.onDone(t)
+		t.onDone(t, recovered)
 	}
 }
 

@@ -75,10 +75,11 @@ func MapCounter(path string, base map[string]string) (family string, labels map[
 
 // PointsFromRegistry converts a live registry to metric points, classifying
 // each family's OpenMetrics type from the registered counter kinds:
-// Cumulative and PerWorker counters are monotonic → counter; everything
-// else (gauges, derived ratios) → gauge. Classification is family-wide, so
-// the per-worker Derived instances of a PerWorker counter inherit counter
-// semantics instead of splitting one family across two types.
+// counters.Monotonic ones (Cumulative, PerWorker, Pair) → counter;
+// everything else (gauges, derived ratios) → gauge. Classification is
+// family-wide, so the per-worker Derived instances of a PerWorker counter
+// inherit counter semantics instead of splitting one family across two
+// types.
 func PointsFromRegistry(reg *counters.Registry, base map[string]string) []MetricPoint {
 	names := reg.Names()
 	// First pass: family-wide type classification.
@@ -89,13 +90,10 @@ func PointsFromRegistry(reg *counters.Registry, base map[string]string) []Metric
 		if !ok {
 			continue
 		}
-		switch c.(type) {
-		case *counters.Cumulative, *counters.PerWorker:
+		if counters.Monotonic(c) {
 			familyType[fam] = "counter"
-		default:
-			if _, seen := familyType[fam]; !seen {
-				familyType[fam] = "gauge"
-			}
+		} else if _, seen := familyType[fam]; !seen {
+			familyType[fam] = "gauge"
 		}
 	}
 	out := make([]MetricPoint, 0, len(names))
