@@ -16,42 +16,89 @@ const histBuckets = 64
 // paper works with (t_d, t_o) hide the distribution; the histogram exposes
 // it — e.g. the bimodality that appears when some partitions hit memory
 // contention and others do not. Implements Counter (Value = mean).
+//
+// It holds one shard per writer, each on cache lines of its own: writer w
+// observes into shard w with ObserveAt, so the runtime's workers record
+// every phase without touching a line another worker writes. Every reading
+// sums the shards. The count is the sum of the buckets, so a quantile's
+// target never exceeds the observations its buckets hold.
 type Histogram struct {
-	name    string
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
+	name   string
+	shards []histShard
 }
 
-// NewHistogram creates a histogram counter with the given symbolic name.
-func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
+// histShard is one writer's buckets and sum. The padding rounds it to a
+// whole number of 64-byte lines.
+type histShard struct {
+	buckets [histBuckets]atomic.Int64
+	sum     atomic.Int64
+	_       [56]byte
+}
+
+// NewHistogram creates a single-shard histogram counter with the given
+// symbolic name, for Observe.
+func NewHistogram(name string) *Histogram { return NewPerWorkerHistogram(name, 1) }
+
+// NewPerWorkerHistogram creates a histogram with one shard per worker, for
+// ObserveAt.
+func NewPerWorkerHistogram(name string, workers int) *Histogram {
+	return &Histogram{name: name, shards: make([]histShard, workers)}
+}
 
 // Name implements Counter.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one duration in nanoseconds (negative values clamp to 0).
-func (h *Histogram) Observe(ns int64) {
+// Observe records one duration in nanoseconds into the first shard
+// (negative values clamp to 0).
+func (h *Histogram) Observe(ns int64) { h.ObserveAt(0, ns) }
+
+// ObserveAt records one duration in nanoseconds into worker w's shard
+// (negative values clamp to 0).
+func (h *Histogram) ObserveAt(w int, ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	s := &h.shards[w]
+	s.buckets[bits.Len64(uint64(ns))].Add(1)
+	s.sum.Add(ns)
+}
+
+// merged returns the bucket counts summed over the shards and their total.
+func (h *Histogram) merged() (b [histBuckets]int64, n int64) {
+	for i := range h.shards {
+		s := &h.shards[i]
+		for j := range b {
+			b[j] += s.buckets[j].Load()
+		}
+	}
+	for _, c := range b {
+		n += c
+	}
+	return b, n
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, n := h.merged()
+	return n
+}
 
 // Sum returns the total of all observations in nanoseconds.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *Histogram) Sum() int64 {
+	var sum int64
+	for i := range h.shards {
+		sum += h.shards[i].sum.Load()
+	}
+	return sum
+}
 
 // Mean returns the average observation in nanoseconds.
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	return float64(h.sum.Load()) / float64(n)
+	return float64(h.Sum()) / float64(n)
 }
 
 // Value implements Counter: the mean observation.
@@ -59,18 +106,20 @@ func (h *Histogram) Value() float64 { return h.Mean() }
 
 // Reset implements Counter.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
+	for i := range h.shards {
+		s := &h.shards[i]
+		for j := range s.buckets {
+			s.buckets[j].Store(0)
+		}
+		s.sum.Store(0)
 	}
-	h.count.Store(0)
-	h.sum.Store(0)
 }
 
 // Quantile returns an estimate of the q-th quantile (0..1) using the
 // geometric midpoint of the containing bucket. Returns 0 for an empty
 // histogram; q is clamped into [0,1].
 func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
+	b, n := h.merged()
 	if n == 0 {
 		return 0
 	}
@@ -85,8 +134,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 		target = 1
 	}
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
+	for i, c := range b {
+		cum += c
 		if cum >= target {
 			if i == 0 {
 				return 0
@@ -109,8 +158,8 @@ type Bucket struct {
 // Buckets returns the non-empty bins in ascending order.
 func (h *Histogram) Buckets() []Bucket {
 	var out []Bucket
-	for i := 0; i < histBuckets; i++ {
-		c := h.buckets[i].Load()
+	b, _ := h.merged()
+	for i, c := range b {
 		if c == 0 {
 			continue
 		}

@@ -169,3 +169,52 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(int64(i))
 	}
 }
+
+// Concurrent ObserveAt on every shard reads back as one histogram: Count,
+// Sum, Buckets and Quantile equal those of the same observations made into
+// a single shard, and Reset clears every shard.
+func TestHistogramPerWorkerMerges(t *testing.T) {
+	const workers, perWorker = 4, 5000
+	h := NewPerWorkerHistogram("/h", workers)
+	truth := NewHistogram("/truth")
+	value := func(w, i int) int64 { return int64((w+1)*i) % 1_000_003 }
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			truth.Observe(value(w, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.ObserveAt(w, value(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if h.Count() != truth.Count() || h.Sum() != truth.Sum() || h.Mean() != truth.Mean() {
+		t.Fatalf("count/sum/mean = %d/%d/%v, want %d/%d/%v",
+			h.Count(), h.Sum(), h.Mean(), truth.Count(), truth.Sum(), truth.Mean())
+	}
+	got, want := h.Buckets(), truth.Buckets()
+	if len(got) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("bucket %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+		if h.Quantile(q) != truth.Quantile(q) {
+			t.Fatalf("quantile %v = %v, want %v", q, h.Quantile(q), truth.Quantile(q))
+		}
+	}
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 || len(h.Buckets()) != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("reset left observations in a shard")
+	}
+}

@@ -32,10 +32,12 @@ type node[T any] struct {
 // MSQueue is an unbounded lock-free FIFO (Michael & Scott, 1996). Go's
 // garbage collector eliminates the ABA problem, so no tagged pointers are
 // needed. The zero value is not usable; construct with NewMS.
+//
+// The queue keeps no element count: a shared counter would cost every push
+// and pop one more contended atomic, and only tests ask for the length.
 type MSQueue[T any] struct {
-	head   atomic.Pointer[node[T]] // points at a dummy node
-	tail   atomic.Pointer[node[T]]
-	length atomic.Int64
+	head atomic.Pointer[node[T]] // points at a dummy node
+	tail atomic.Pointer[node[T]]
 }
 
 // NewMS returns an empty lock-free FIFO.
@@ -63,7 +65,6 @@ func (q *MSQueue[T]) Push(v T) {
 		}
 		if tail.next.CompareAndSwap(nil, n) {
 			q.tail.CompareAndSwap(tail, n)
-			q.length.Add(1)
 			return
 		}
 	}
@@ -93,7 +94,6 @@ func (q *MSQueue[T]) Pop() (T, bool) {
 			// sees exactly one reader and one (clearing) writer. Reading it
 			// before the CAS would race with the winner's clear below.
 			v := next.value
-			q.length.Add(-1)
 			// Clear the value slot so the GC can reclaim large payloads
 			// while `next` serves as the new dummy node.
 			next.value = zero
@@ -134,17 +134,67 @@ func (q *MSQueue[T]) PushBatch(vs []T) {
 		}
 		if tail.next.CompareAndSwap(nil, first) {
 			q.tail.CompareAndSwap(tail, last)
-			q.length.Add(int64(len(vs)))
 			return
 		}
 	}
 }
 
-// Len returns the approximate number of queued elements.
-func (q *MSQueue[T]) Len() int { return int(q.length.Load()) }
+// PopN removes up to len(buf) elements from the head into buf, in order,
+// and returns how many it took — the consumer-side twin of PushBatch: one
+// head CAS moves past the whole run. The run never extends past the tail
+// the pop observed, so head never overtakes tail, and as in Pop the values
+// are read and cleared only after the CAS makes this goroutine their sole
+// owner. Safe for any number of concurrent consumers.
+func (q *MSQueue[T]) PopN(buf []T) int {
+	if len(buf) == 0 {
+		return 0
+	}
+	var zero T
+	for {
+		head := q.head.Load()
+		tail := q.tail.Load()
+		next := head.next.Load()
+		if head != q.head.Load() {
+			continue
+		}
+		if next == nil {
+			return 0 // empty
+		}
+		if head == tail {
+			q.tail.CompareAndSwap(tail, next)
+			continue
+		}
+		// tail was read while head was current, so it is reachable from
+		// head and every link up to it is set.
+		last, k := next, 1
+		for k < len(buf) && last != tail {
+			last = last.next.Load()
+			k++
+		}
+		if q.head.CompareAndSwap(head, last) {
+			n := next
+			for i := 0; i < k; i++ {
+				buf[i] = n.value
+				n.value = zero
+				n = n.next.Load()
+			}
+			return k
+		}
+	}
+}
+
+// Len counts the queued elements by walking the list: O(n), exact only
+// when the queue is quiescent. Meant for tests and diagnostics.
+func (q *MSQueue[T]) Len() int {
+	n := 0
+	for p := q.head.Load().next.Load(); p != nil; p = p.next.Load() {
+		n++
+	}
+	return n
+}
 
 // Empty reports whether the queue appears empty.
-func (q *MSQueue[T]) Empty() bool { return q.Len() == 0 }
+func (q *MSQueue[T]) Empty() bool { return q.head.Load().next.Load() == nil }
 
 // Instrumented wraps a Queue and maintains the access/miss counts the paper
 // reports per pending queue: every Pop is an access; a Pop that finds no

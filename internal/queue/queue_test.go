@@ -388,10 +388,9 @@ func TestMSQueuePushBatchConcurrent(t *testing.T) {
 				if !ok {
 					select {
 					case <-done:
-						if _, ok := q.Pop(); !ok {
+						if v, ok = q.Pop(); !ok {
 							return
 						}
-						continue
 					default:
 						continue
 					}
@@ -491,5 +490,133 @@ func BenchmarkMSQueuePushBatch(b *testing.B) {
 		for range batch {
 			q.Pop()
 		}
+	}
+}
+
+// PopN takes a prefix of the queue in order, never more than buf holds,
+// and a queue it drains down to its tail (head == tail) takes pushes again.
+func TestMSQueuePopNDrainToTail(t *testing.T) {
+	q := NewMS[int]()
+	buf := make([]int, 4)
+	if n := q.PopN(buf); n != 0 {
+		t.Fatalf("PopN on empty queue = %d", n)
+	}
+	if n := q.PopN(nil); n != 0 {
+		t.Fatalf("PopN(nil) = %d", n)
+	}
+	q.PushBatch([]int{0, 1, 2, 3, 4})
+	q.Push(5)
+	if n := q.PopN(buf); n != 4 || buf[0] != 0 || buf[3] != 3 {
+		t.Fatalf("PopN = %d %v, want 4 [0 1 2 3]", n, buf)
+	}
+	if n := q.PopN(buf); n != 2 || buf[0] != 4 || buf[1] != 5 {
+		t.Fatalf("PopN = %d %v, want 2 [4 5 ...]", n, buf[:n])
+	}
+	if q.head.Load() != q.tail.Load() || !q.Empty() || q.Len() != 0 {
+		t.Fatalf("drained queue: head == tail %v, empty %v, len %d", q.head.Load() == q.tail.Load(), q.Empty(), q.Len())
+	}
+	q.Push(6)
+	q.PushBatch([]int{7, 8})
+	if q.Len() != 3 {
+		t.Fatalf("len after refill = %d, want 3", q.Len())
+	}
+	if n := q.PopN(buf[:1]); n != 1 || buf[0] != 6 {
+		t.Fatalf("PopN(1) = %d %v, want 1 [6]", n, buf[:n])
+	}
+	for want := 7; want <= 8; want++ {
+		if v, ok := q.Pop(); !ok || v != want {
+			t.Fatalf("pop: got %d ok=%v, want %d", v, ok, want)
+		}
+	}
+}
+
+// Push and PushBatch producers against PopN and Pop consumers: every
+// element is taken exactly once, and each consumer sees every producer's
+// elements in the order they were pushed.
+func TestMSQueuePopNConcurrent(t *testing.T) {
+	const producers, consumers, rounds, batchSize = 4, 4, 400, 6
+	q := NewMS[[2]int]() // (producer, seq)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			seq := 0
+			for r := 0; r < rounds; r++ {
+				if r%2 == 0 {
+					q.Push([2]int{p, seq})
+					seq++
+					continue
+				}
+				batch := make([][2]int, batchSize)
+				for i := range batch {
+					batch[i] = [2]int{p, seq}
+					seq++
+				}
+				q.PushBatch(batch)
+			}
+		}(p)
+	}
+	perProducer := rounds/2 + rounds/2*batchSize
+	done := make(chan struct{})
+	taken := make([][][2]int, consumers)
+	var cwg sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		cwg.Add(1)
+		go func(c int) {
+			defer cwg.Done()
+			buf := make([][2]int, 1+c) // consumer 0 pops one at a time
+			for {
+				var n int
+				if c == 0 {
+					if v, ok := q.Pop(); ok {
+						buf[0], n = v, 1
+					}
+				} else {
+					n = q.PopN(buf)
+				}
+				if n == 0 {
+					select {
+					case <-done:
+						if q.Empty() {
+							return
+						}
+					default:
+					}
+					continue
+				}
+				taken[c] = append(taken[c], buf[:n]...)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(done)
+	cwg.Wait()
+
+	seen := make([][]bool, producers)
+	for p := range seen {
+		seen[p] = make([]bool, perProducer)
+	}
+	total := 0
+	for c, vs := range taken {
+		last := make([]int, producers)
+		for p := range last {
+			last[p] = -1
+		}
+		for _, v := range vs {
+			p, seq := v[0], v[1]
+			if seq <= last[p] {
+				t.Fatalf("consumer %d: producer %d seq %d after %d", c, p, seq, last[p])
+			}
+			last[p] = seq
+			if seen[p][seq] {
+				t.Fatalf("element %v taken twice", v)
+			}
+			seen[p][seq] = true
+			total++
+		}
+	}
+	if want := producers * perProducer; total != want {
+		t.Fatalf("took %d elements, want %d", total, want)
 	}
 }

@@ -25,6 +25,11 @@ type Group struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	panics []any
+
+	// records are the task records Run reuses, grown to its largest wave,
+	// and tasks a handle to each.
+	records []Task
+	tasks   []*Task
 }
 
 // NewGroup creates an empty task group on rt.
@@ -48,8 +53,41 @@ func (g *Group) SpawnBatch(fns []func(*Context), opts ...SpawnOption) []*Task {
 	if len(fns) == 0 {
 		return nil
 	}
+	_, tasks := newTaskSlab(len(fns))
 	g.pending.Add(int64(len(fns)))
-	return g.rt.spawnBatchInternal(fns, g.done, opts...)
+	g.rt.spawnBatchInternal(tasks, fns, g.done, opts...)
+	return tasks
+}
+
+// Run spawns one task per fn into the group as one batch, waits for them,
+// and returns the number of group tasks that have panicked, as Wait does.
+// The group owns the task records and reuses them on every call, so Run
+// returns no handles and allocates no records once it has run its largest
+// wave. Run panics if the group has tasks pending at entry: their records
+// may be the ones it is about to reuse.
+//
+// Reuse is safe because no handle escapes and a record is idle by the time
+// Wait returns: a task touches its record only before its group's pending
+// count drops (terminate notifies the group last), the last decrement
+// happens after every other, and a queue pop clears the node that held the
+// task. Run zeroes a record before reusing it, so a task starts Staged with
+// no phases. A Resumer or *Context kept past its phase must not be used,
+// here as anywhere.
+func (g *Group) Run(fns []func(*Context)) int {
+	if g.pending.Load() != 0 {
+		panic("taskrt: Group.Run with tasks pending")
+	}
+	n := len(fns)
+	if n > len(g.records) {
+		g.records, g.tasks = newTaskSlab(n)
+	} else {
+		clear(g.records[:n])
+	}
+	if n > 0 {
+		g.pending.Add(int64(n))
+		g.rt.spawnBatchInternal(g.tasks[:n], fns, g.done)
+	}
+	return g.Wait()
 }
 
 // taskDone is the runtime's termination callback for group tasks (normal

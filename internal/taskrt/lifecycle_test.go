@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"taskgrain/internal/trace"
 )
@@ -35,6 +36,68 @@ func TestGroupSpawnBatchAllocsPerBatch(t *testing.T) {
 		if budget := float64(fixed + conversions); allocs > budget {
 			t.Errorf("StagedBatch %d: %.0f allocs per batch of %d, want <= %.0f", staged, allocs, n, budget)
 		}
+	}
+}
+
+// TestGroupRunAllocsPerWave pins Group.Run's record reuse: a warm wave of
+// 800 tasks allocates only queue-node slabs — one per destination staged
+// queue and at most one per staged→pending conversion, a partial one per
+// queue included — and no Task records, so its bytes stay below one slab
+// of records.
+func TestGroupRunAllocsPerWave(t *testing.T) {
+	const workers, n = 2, 800
+	for _, staged := range []int{8, n} {
+		rt := New(WithWorkers(workers), WithStagedBatch(staged))
+		rt.Start()
+		fns := make([]func(*Context), n)
+		for i := range fns {
+			fns[i] = func(*Context) {}
+		}
+		g := rt.NewGroup()
+		g.Run(fns) // grows the group's records
+		allocs := testing.AllocsPerRun(20, func() { g.Run(fns) })
+		const waves = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < waves; i++ {
+			g.Run(fns)
+		}
+		runtime.ReadMemStats(&after)
+		rt.Shutdown()
+		bytes := (after.TotalAlloc - before.TotalAlloc) / waves
+		slab := uint64(n * unsafe.Sizeof(Task{}))
+		budget := float64(workers + (n+staged-1)/staged + workers)
+		t.Logf("StagedBatch %d: %.1f allocs, %d B per wave of %d (a Task slab is %d B)", staged, allocs, bytes, n, slab)
+		if allocs > budget {
+			t.Errorf("StagedBatch %d: %.0f allocs per wave of %d, want <= %.0f", staged, allocs, n, budget)
+		}
+		if bytes >= slab {
+			t.Errorf("StagedBatch %d: %d B per wave of %d, want < %d (one Task slab)", staged, bytes, n, slab)
+		}
+	}
+}
+
+// TestGroupRunPendingPanics checks that Run refuses a group with a task
+// still pending, whose record it might otherwise reuse.
+func TestGroupRunPendingPanics(t *testing.T) {
+	rt := New(WithWorkers(1))
+	rt.Start()
+	defer rt.Shutdown()
+	g := rt.NewGroup()
+	release := make(chan struct{})
+	g.Spawn(func(*Context) { <-release })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Run on a group with a pending task did not panic")
+			}
+		}()
+		g.Run([]func(*Context){func(*Context) {}})
+	}()
+	close(release)
+	g.Wait()
+	if got := g.Run([]func(*Context){func(*Context) {}}); got != 0 {
+		t.Fatalf("Run after the pending task finished = %d panics", got)
 	}
 }
 

@@ -78,6 +78,9 @@ func countMiss(look *counters.Pair, w int) { look.AddPart(w, 1) }
 // countHit records a look-up of worker w's queue that found work.
 func countHit(look *counters.Pair, w int) { look.AddRest(w, 1) }
 
+// countHits records n look-ups of worker w's queue that found work.
+func countHits(look *counters.Pair, w int, n int) { look.AddRest(w, int64(n)) }
+
 // schedPolicy is the queue structure + discovery order of a scheduler.
 // Implementations must be safe for concurrent use by all workers.
 //
@@ -197,7 +200,7 @@ func newPriorityLocal(topo *topology.Topology, pc *policyCounters, highQueues, s
 	for i := 0; i < n; i++ {
 		p.pending[i] = queue.NewMS[*Task]()
 		p.staged[i] = queue.NewMS[*Task]()
-		p.convert[i] = make([]*Task, 0, stagedBatch)
+		p.convert[i] = make([]*Task, stagedBatch)
 	}
 	for i := 0; i < highQueues; i++ {
 		p.hpPending[i] = queue.NewMS[*Task]()
@@ -298,21 +301,26 @@ func (p *priorityLocal) popStaged(owner int) *Task {
 }
 
 // convertLocalStaged moves up to stagedBatch staged tasks of worker w into
-// w's pending queue with one batched push (HPX's wait_or_add_new),
-// reporting whether any moved.
+// w's pending queue with one batched pop and one batched push (HPX's
+// wait_or_add_new), reporting whether any moved. The look-ups count as the
+// pop-at-a-time loop they replace would: one hit per task taken, and one
+// miss when the queue ran dry before the batch filled.
 func (p *priorityLocal) convertLocalStaged(w int) bool {
-	batch := p.convert[w][:0]
-	for len(batch) < p.stagedBatch {
-		t := p.popStaged(w)
-		if t == nil {
-			break
-		}
-		t.transition(Staged, Pending)
-		batch = append(batch, t)
+	batch := p.convert[w]
+	k := p.staged[w].PopN(batch)
+	if k < len(batch) {
+		countMiss(p.pc.staged, w)
 	}
-	p.pending[w].PushBatch(batch)
-	clear(batch)
-	return len(batch) > 0
+	if k == 0 {
+		return false
+	}
+	countHits(p.pc.staged, w, k)
+	for _, t := range batch[:k] {
+		t.transition(Staged, Pending)
+	}
+	p.pending[w].PushBatch(batch[:k])
+	clear(batch[:k])
+	return true
 }
 
 func (p *priorityLocal) next(w int) *Task {

@@ -187,7 +187,7 @@ func New(opts ...Option) *Runtime {
 		suspCount:  counters.NewPerWorker("/threads/count/suspended", topo.Workers()),
 		exceptions: counters.NewPerWorker("/threads/count/exceptions", topo.Workers()),
 		cancels:    counters.NewPerWorker("/threads/count/cancelled", topo.Workers()),
-		durHist:    counters.NewHistogram("/threads/time/phase-duration-histogram"),
+		durHist:    counters.NewPerWorkerHistogram("/threads/time/phase-duration-histogram", topo.Workers()),
 
 		parkers:      make([]parker, topo.Workers()),
 		wakeOrder:    make([][]int, topo.Workers()),
@@ -413,23 +413,34 @@ func (rt *Runtime) spawnInternal(fn func(*Context), onDone func(*Task, any), opt
 // grain. Every returned handle stays valid on its own; a live handle keeps
 // its whole batch's slab reachable.
 func (rt *Runtime) SpawnBatch(fns []func(*Context), opts ...SpawnOption) []*Task {
-	return rt.spawnBatchInternal(fns, nil, opts...)
-}
-
-// spawnBatchInternal is SpawnBatch plus the pre-visibility termination
-// callback, mirroring spawnInternal.
-func (rt *Runtime) spawnBatchInternal(fns []func(*Context), onDone func(*Task, any), opts ...SpawnOption) []*Task {
-	n := len(fns)
-	if n == 0 {
+	if len(fns) == 0 {
 		return nil
 	}
-	base := rt.nextID.Add(uint64(n)) - uint64(n)
+	_, tasks := newTaskSlab(len(fns))
+	rt.spawnBatchInternal(tasks, fns, nil, opts...)
+	return tasks
+}
+
+// newTaskSlab returns n zero task records carved from one allocation, and
+// a handle to each.
+func newTaskSlab(n int) ([]Task, []*Task) {
 	slab := make([]Task, n)
 	tasks := make([]*Task, n)
+	for i := range slab {
+		tasks[i] = &slab[i]
+	}
+	return slab, tasks
+}
+
+// spawnBatchInternal is SpawnBatch on caller-supplied zero records plus the
+// pre-visibility termination callback, mirroring spawnInternal: it
+// initializes tasks[i] to run fns[i] and hands the batch to the scheduler.
+// fns must be non-empty and tasks as long as fns.
+func (rt *Runtime) spawnBatchInternal(tasks []*Task, fns []func(*Context), onDone func(*Task, any), opts ...SpawnOption) {
+	n := len(fns)
+	base := rt.nextID.Add(uint64(n)) - uint64(n)
 	for i, fn := range fns {
-		t := &slab[i]
-		t.init(rt, base+uint64(i)+1, fn, onDone, opts)
-		tasks[i] = t
+		tasks[i].init(rt, base+uint64(i)+1, fn, onDone, opts)
 	}
 	rt.inflight.Add(int64(n))
 	if rt.cfg.Tracer != nil {
@@ -439,7 +450,6 @@ func (rt *Runtime) spawnBatchInternal(fns []func(*Context), onDone func(*Task, a
 	}
 	home := rt.policy.pushStagedBatch(tasks)
 	rt.wakeOne(home)
-	return tasks
 }
 
 // now reads the runtime's one clock: monotonic nanoseconds since Start.
@@ -594,7 +604,7 @@ func (rt *Runtime) runTask(w int, t *Task, mark int64) int64 {
 	durNs := end - start
 	rt.loop.AddRest(w, start-mark)
 	rt.loop.AddPart(w, durNs)
-	rt.durHist.Observe(durNs)
+	rt.durHist.ObserveAt(w, durNs)
 	rt.trace(trace.PhaseEnd, t.id, w)
 
 	if recovered != nil {

@@ -118,13 +118,15 @@ func TestStencilJobMatchesReference(t *testing.T) {
 	}
 }
 
-// A warm stencil job allocates its closures and runtime tasks but no grid
-// points: with per-task partitions back, a 200k-point job would allocate
-// ≈ 9.6 MB and fail this. Today it is ≈ 965 KB: ≈ 195 B of runtime records
-// per task (Task, group wrapper, Context, queue node) for 4800 tasks, plus
-// ≈ 26 KB of closures. The median over jobs is asserted because a pool
-// miss (a ring pair Put from one P's private slot is invisible to another
-// P's Get) costs one job a fresh 3.2 MB pair.
+// A warm stencil job allocates its closures, one wave of task records and
+// queue nodes, but no grid points: with per-task partitions back, a
+// 200k-point job would allocate ≈ 9.6 MB, and with a fresh Task slab per
+// wave instead of Group.Run's reused one ≈ 740 KB; both fail this. Today
+// it is ≈ 270 KB: one 800-task record slab (≈ 90 KB), a 16 B queue node
+// per task and staged→pending conversion, and ≈ 26 KB of closures. The
+// median over jobs is asserted because a pool miss (a ring pair Put from
+// one P's private slot is invisible to another P's Get) costs one job a
+// fresh 3.2 MB pair.
 func TestStencilJobAllocBytes(t *testing.T) {
 	if microbench.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of its puts")
@@ -150,8 +152,8 @@ func TestStencilJobAllocBytes(t *testing.T) {
 	slices.Sort(deltas)
 	median := deltas[len(deltas)/2]
 	t.Logf("bytes allocated per warm job: median %d, all %v", median, deltas)
-	if median >= 1<<20 {
-		t.Fatalf("warm stencil job allocated %d B (median), want < 1 MiB", median)
+	if median >= 512<<10 {
+		t.Fatalf("warm stencil job allocated %d B (median), want < 512 KiB", median)
 	}
 }
 

@@ -320,15 +320,14 @@ func runStencilJob(rt *taskrt.Runtime, spec JobSpec, grain int, abort func() boo
 		fns[p] = func(*taskrt.Context) { j.run(p) }
 	}
 	// Each wave is one batch — the serving path fans out `parts` tasks per
-	// wave, so the batched spawn is where the per-task spawn cost amortizes.
+	// wave, so the batched spawn is where the per-task spawn cost amortizes
+	// — and every wave reuses the first wave's task records.
 	g := rt.NewGroup()
-	g.SpawnBatch(fns)
-	g.Wait()
+	g.Run(fns)
 	j.init = false
 	steps := 0
 	for ; steps < spec.Steps && !abort(); steps++ {
-		g.SpawnBatch(fns)
-		g.Wait()
+		g.Run(fns)
 		j.src ^= 1
 	}
 
