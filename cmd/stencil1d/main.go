@@ -166,16 +166,10 @@ func runNative(stdout io.Writer, cfg stencil.Config, cores int, policyName strin
 		return err
 	}
 
-	raw := core.RawRun{
-		ExecSeconds: elapsed.Seconds(),
-		ExecTotalNs: snap.Get("/threads/time/exec-total"),
-		FuncTotalNs: snap.Get("/threads/time/func-total"),
-		Tasks:       snap.Get("/threads/count/cumulative"),
-		Cores:       cores,
-	}
+	raw := core.RawRunFromSnapshot(snap, cores, elapsed)
 	fmt.Fprintf(stdout, "engine           native (%s, %d workers)\n", pol, cores)
 	printRun(stdout, cfg, elapsed.Seconds(), raw.IdleRate(), raw.TaskDurationNs(), raw.TaskOverheadNs(),
-		raw.Tasks, snap.Get("/threads/count/pending-accesses"), snap.Get("/threads/count/pending-misses"))
+		raw.Tasks, raw.PendingAccesses, raw.PendingMisses)
 	fmt.Fprintf(stdout, "total heat       %.6g\n", sol.Sum())
 
 	if verify {

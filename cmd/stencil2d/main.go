@@ -26,7 +26,6 @@ import (
 
 	"taskgrain/internal/core"
 	"taskgrain/internal/costmodel"
-	"taskgrain/internal/counters"
 	"taskgrain/internal/sim"
 	"taskgrain/internal/stencil2d"
 	"taskgrain/internal/taskrt"
@@ -95,13 +94,7 @@ func runNative(stdout io.Writer, cfg stencil2d.Config, cores int, verify bool) e
 	if err != nil {
 		return err
 	}
-	raw := core.RawRun{
-		ExecSeconds: elapsed.Seconds(),
-		ExecTotalNs: snap.Get(counters.TimeExecTotal),
-		FuncTotalNs: snap.Get(counters.TimeFuncTotal),
-		Tasks:       snap.Get(counters.CountCumulative),
-		Cores:       cores,
-	}
+	raw := core.RawRunFromSnapshot(snap, cores, elapsed)
 	fmt.Fprintf(stdout, "engine           native (%d workers)\n", cores)
 	printRun(stdout, cfg, elapsed.Seconds(), raw.IdleRate(), raw.TaskDurationNs(), raw.Tasks)
 	fmt.Fprintf(stdout, "total heat       %.6g\n", sol.Sum())

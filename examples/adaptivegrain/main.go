@@ -1,6 +1,6 @@
 // Adaptivegrain: the paper's future-work goal in action — a live runtime
 // whose task grain is adapted between rounds using interval counter
-// snapshots (Sec. II-A: the metrics "can be calculated over any interval of
+// readings (Sec. II-A: the metrics "can be calculated over any interval of
 // interest") and the adaptive tuner. Each round runs a slice of the heat
 // benchmark at the current grain; the tuner reads the interval idle-rate
 // and parallel slack and picks the next grain.
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"taskgrain/internal/adaptive"
+	"taskgrain/internal/counters"
 	"taskgrain/internal/stencil"
 	"taskgrain/internal/taskrt"
 )
@@ -49,18 +50,24 @@ func main() {
 			PointsPerPartition: grain,
 			TimeSteps:          *steps,
 		}
-		before := rt.Counters().Snapshot()
+		exec0, func0 := rt.LoopTotals()
+		tasks0 := rt.TasksExecuted()
 		t0 := time.Now()
 		if _, err := stencil.Run(rt, cfg); err != nil {
 			fmt.Println("adaptivegrain:", err)
 			return
 		}
 		elapsed := time.Since(t0)
-		after := rt.Counters().Snapshot()
+		exec1, func1 := rt.LoopTotals()
 
 		// One stencil round spans steps+1 dependency generations
 		// (initialization plus each time step).
-		obs := adaptive.ObservationFromSnapshots(before, after, grain, *workers, cfg.TimeSteps+1)
+		obs := adaptive.Observation{
+			PartitionSize: grain,
+			IdleRate:      counters.IdleRateOf(float64(exec1-exec0), float64(func1-func0)),
+			Tasks:         float64(rt.TasksExecuted()-tasks0) / float64(cfg.TimeSteps+1),
+			Cores:         *workers,
+		}
 		next, decision := tuner.Next(obs)
 		fmt.Printf("%-6d %-10d %-11v %-8.1f %-9.0f %-8s %d\n",
 			round, grain, elapsed.Round(time.Microsecond), obs.IdleRate*100, obs.Tasks, decision, next)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"taskgrain/internal/core"
-	"taskgrain/internal/counters"
 	"taskgrain/internal/future"
 	"taskgrain/internal/taskrt"
 )
@@ -59,12 +58,7 @@ func main() {
 		rt.WaitIdle()
 		snap := rt.Counters().Snapshot()
 		rt.Shutdown()
-		raw := core.RawRun{
-			ExecTotalNs: snap.Get(counters.TimeExecTotal),
-			FuncTotalNs: snap.Get(counters.TimeFuncTotal),
-			Tasks:       snap.Get(counters.CountCumulative),
-			Cores:       *workers,
-		}
+		raw := core.RawRunFromSnapshot(snap, *workers, elapsed)
 		label := fmt.Sprintf("%d", cutoff)
 		if cutoff > *n {
 			label = "seq"

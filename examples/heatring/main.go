@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"taskgrain/internal/core"
-	"taskgrain/internal/counters"
 	"taskgrain/internal/stencil"
 	"taskgrain/internal/taskrt"
 )
@@ -45,13 +44,7 @@ func main() {
 		return
 	}
 
-	raw := core.RawRun{
-		ExecSeconds: elapsed.Seconds(),
-		ExecTotalNs: snap.Get(counters.TimeExecTotal),
-		FuncTotalNs: snap.Get(counters.TimeFuncTotal),
-		Tasks:       snap.Get(counters.CountCumulative),
-		Cores:       *workers,
-	}
+	raw := core.RawRunFromSnapshot(snap, *workers, elapsed)
 	fmt.Printf("ring of %d points, %d partitions of %d, %d steps, %d workers\n",
 		cfg.TotalPoints, cfg.Partitions(), cfg.PointsPerPartition, cfg.TimeSteps, *workers)
 	fmt.Printf("execution time      %v\n", elapsed.Round(time.Microsecond))
@@ -62,6 +55,6 @@ func main() {
 	fmt.Printf("task overhead t_o   %.2fµs  (Eq. 3)\n", raw.TaskOverheadNs()/1000)
 	fmt.Printf("TM overhead/core    %.4fs   (Eq. 4)\n", raw.TMOverheadPerCoreNs()/1e9)
 	fmt.Printf("pending queue       %.0f accesses / %.0f misses\n",
-		snap.Get(counters.PendingAccesses), snap.Get(counters.PendingMisses))
+		raw.PendingAccesses, raw.PendingMisses)
 	fmt.Println("\ntry: -partition 200 (fine-grain wall) or -partition", *points, "(starvation wall)")
 }

@@ -17,11 +17,7 @@
 //     never oscillates inside the tolerance band).
 package adaptive
 
-import (
-	"fmt"
-
-	"taskgrain/internal/counters"
-)
+import "fmt"
 
 // Observation is one tuning interval's worth of measurements.
 type Observation struct {
@@ -190,36 +186,4 @@ func (t *Tuner) Converge(start, maxSteps int, measure func(partition int) (Obser
 		cur = next
 	}
 	return cur, trace, fmt.Errorf("adaptive: no convergence within %d steps", maxSteps)
-}
-
-// ObservationFromSnapshots derives an interval Observation from two counter
-// snapshots of a live runtime ("for dynamic measurements this metric can be
-// calculated for any interval of the application", Sec. II-A). Idle-rate is
-// recomputed from the differenced raw time totals, not differenced itself.
-// generations is how many dependency waves (stencil time steps) elapsed in
-// the interval; the interval task count divided by it yields the parallel
-// slack the tuner consumes.
-func ObservationFromSnapshots(prev, cur counters.Snapshot, partitionSize, cores, generations int) Observation {
-	dExec := cur.Get(counters.TimeExecTotal) - prev.Get(counters.TimeExecTotal)
-	dFunc := cur.Get(counters.TimeFuncTotal) - prev.Get(counters.TimeFuncTotal)
-	dTasks := cur.Get(counters.CountCumulative) - prev.Get(counters.CountCumulative)
-	idle := 0.0
-	if dFunc > 0 {
-		idle = (dFunc - dExec) / dFunc
-		if idle < 0 {
-			idle = 0
-		}
-		if idle > 1 {
-			idle = 1
-		}
-	}
-	if generations < 1 {
-		generations = 1
-	}
-	return Observation{
-		PartitionSize: partitionSize,
-		IdleRate:      idle,
-		Tasks:         dTasks / float64(generations),
-		Cores:         cores,
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"taskgrain/internal/core"
 	"taskgrain/internal/costmodel"
-	"taskgrain/internal/counters"
 	"taskgrain/internal/stencil"
 )
 
@@ -166,31 +165,6 @@ func TestConvergeGivesUp(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected non-convergence error")
-	}
-}
-
-func TestObservationFromSnapshots(t *testing.T) {
-	prev := counters.Snapshot{
-		counters.TimeExecTotal:   1000,
-		counters.TimeFuncTotal:   2000,
-		counters.CountCumulative: 10,
-	}
-	cur := counters.Snapshot{
-		counters.TimeExecTotal:   5000,
-		counters.TimeFuncTotal:   7000,
-		counters.CountCumulative: 60,
-	}
-	obs := ObservationFromSnapshots(prev, cur, 1234, 4, 5)
-	if obs.Tasks != 10 || obs.PartitionSize != 1234 || obs.Cores != 4 {
-		t.Fatalf("obs = %+v", obs)
-	}
-	// interval idle = (5000-4000)/5000 = 0.2
-	if obs.IdleRate != 0.2 {
-		t.Fatalf("idle = %v", obs.IdleRate)
-	}
-	// Degenerate interval: no scheduler time → idle 0; generations clamped.
-	if got := ObservationFromSnapshots(cur, cur, 1, 1, 0); got.IdleRate != 0 {
-		t.Fatalf("empty interval idle = %v", got.IdleRate)
 	}
 }
 

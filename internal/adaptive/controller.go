@@ -8,8 +8,9 @@ import (
 // thread-safe holder of the "current best grain" for one workload class,
 // updated from per-job counter observations as traffic flows. Where Converge
 // drives a closed measure→adjust loop to a fixed point, a Controller is fed
-// opportunistically — every completed job contributes one Observation and
-// the next job without an explicit grain reads Grain().
+// opportunistically — every completed job that ran at the controller's grain
+// contributes one Observation and the next job without an explicit grain
+// reads Grain().
 type Controller struct {
 	mu    sync.Mutex
 	tuner *Tuner
@@ -79,11 +80,6 @@ func (c *Controller) Observations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.observations
-}
-
-// Bounds reports the clamp interval the controller steers within.
-func (c *Controller) Bounds() (min, max int) {
-	return c.tuner.cfg.MinPartition, c.tuner.cfg.MaxPartition
 }
 
 // Stats reports how many observations the controller has consumed and how

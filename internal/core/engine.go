@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"taskgrain/internal/costmodel"
-	"taskgrain/internal/counters"
 	"taskgrain/internal/sim"
 	"taskgrain/internal/stencil"
 	"taskgrain/internal/taskrt"
@@ -139,16 +138,5 @@ func (e *NativeEngine) Run(cfg stencil.Config, cores int) (RawRun, error) {
 	if err != nil {
 		return RawRun{}, err
 	}
-	return RawRun{
-		ExecSeconds:     elapsed.Seconds(),
-		ExecTotalNs:     snap.Get(counters.TimeExecTotal),
-		FuncTotalNs:     snap.Get(counters.TimeFuncTotal),
-		Tasks:           snap.Get(counters.CountCumulative),
-		Cores:           cores,
-		PendingAccesses: snap.Get(counters.PendingAccesses),
-		PendingMisses:   snap.Get(counters.PendingMisses),
-		StagedAccesses:  snap.Get(counters.StagedAccesses),
-		StagedMisses:    snap.Get(counters.StagedMisses),
-		Stolen:          snap.Get(counters.CountStolen),
-	}, nil
+	return RawRunFromSnapshot(snap, cores, elapsed), nil
 }

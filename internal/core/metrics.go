@@ -22,6 +22,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
+
+	"taskgrain/internal/counters"
 )
 
 // RawRun is the counter dump of one benchmark execution — everything the
@@ -41,6 +44,23 @@ type RawRun struct {
 	Stolen          float64
 }
 
+// RawRunFromSnapshot builds the RawRun of one native run from the counter
+// snapshot taken when it completed, on cores workers, elapsed wall time.
+func RawRunFromSnapshot(snap counters.Snapshot, cores int, elapsed time.Duration) RawRun {
+	return RawRun{
+		ExecSeconds:     elapsed.Seconds(),
+		ExecTotalNs:     snap.Get(counters.TimeExecTotal),
+		FuncTotalNs:     snap.Get(counters.TimeFuncTotal),
+		Tasks:           snap.Get(counters.CountCumulative),
+		Cores:           cores,
+		PendingAccesses: snap.Get(counters.PendingAccesses),
+		PendingMisses:   snap.Get(counters.PendingMisses),
+		StagedAccesses:  snap.Get(counters.StagedAccesses),
+		StagedMisses:    snap.Get(counters.StagedMisses),
+		Stolen:          snap.Get(counters.CountStolen),
+	}
+}
+
 // Validate reports the first inconsistency in the raw counters, or nil.
 func (r *RawRun) Validate() error {
 	switch {
@@ -57,19 +77,7 @@ func (r *RawRun) Validate() error {
 }
 
 // IdleRate computes Eq. 1. Runs with no scheduler time report 0.
-func (r *RawRun) IdleRate() float64 {
-	if r.FuncTotalNs <= 0 {
-		return 0
-	}
-	ir := (r.FuncTotalNs - r.ExecTotalNs) / r.FuncTotalNs
-	if ir < 0 {
-		return 0
-	}
-	if ir > 1 {
-		return 1
-	}
-	return ir
-}
+func (r *RawRun) IdleRate() float64 { return counters.IdleRateOf(r.ExecTotalNs, r.FuncTotalNs) }
 
 // TaskDurationNs computes Eq. 2 (t_d), in nanoseconds.
 func (r *RawRun) TaskDurationNs() float64 {

@@ -57,6 +57,16 @@ const (
 	CountParkTimeouts     = "/threads/count/park-timeouts"
 )
 
+// IdleRateOf computes Eq. 1, (Σt_func − Σt_exec) / Σt_func, over any
+// interval from its two time totals in nanoseconds, clamped to [0, 1]. An
+// interval with no scheduler time reports 0.
+func IdleRateOf(execNs, funcNs float64) float64 {
+	if funcNs <= 0 {
+		return 0
+	}
+	return min(max((funcNs-execNs)/funcNs, 0), 1)
+}
+
 // Counter is a named, introspectable performance counter.
 type Counter interface {
 	// Name returns the counter's unique symbolic path.

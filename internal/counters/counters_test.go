@@ -57,15 +57,31 @@ func TestGauge(t *testing.T) {
 	}
 }
 
+// TestIdleRateOf pins Eq. 1 over an interval: the totals are differenced
+// first and the rate is computed from the deltas, never differenced itself.
+func TestIdleRateOf(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		execNs, fnNs float64
+		want         float64
+	}{
+		{"interval", 5000 - 1000, 7000 - 2000, 0.2},
+		{"no scheduler time", 0, 0, 0},
+		{"negative scheduler time", 10, -5, 0},
+		{"exec above func", 200, 100, 0},
+		{"all idle", 0, 100, 1},
+	} {
+		if got := IdleRateOf(c.execNs, c.fnNs); got != c.want {
+			t.Errorf("%s: IdleRateOf(%v, %v) = %v, want %v", c.name, c.execNs, c.fnNs, got, c.want)
+		}
+	}
+}
+
 func TestDerived(t *testing.T) {
 	exec := NewCumulative(TimeExecTotal)
 	fn := NewCumulative(TimeFuncTotal)
 	idle := NewDerived(IdleRate, func() float64 {
-		f := fn.Value()
-		if f == 0 {
-			return 0
-		}
-		return (f - exec.Value()) / f
+		return IdleRateOf(exec.Value(), fn.Value())
 	})
 	if idle.Value() != 0 {
 		t.Fatal("idle-rate of empty run must be 0")

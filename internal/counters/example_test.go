@@ -16,10 +16,7 @@ func Example() {
 	reg.MustRegister(exec)
 	reg.MustRegister(fn)
 	reg.MustRegister(counters.NewDerived(counters.IdleRate, func() float64 {
-		if fn.Value() == 0 {
-			return 0
-		}
-		return (fn.Value() - exec.Value()) / fn.Value()
+		return counters.IdleRateOf(exec.Value(), fn.Value())
 	}))
 
 	before := reg.Snapshot()

@@ -137,8 +137,8 @@ type Options struct {
 }
 
 // hintMaxObservations is the guardrail on externally pushed grain hints: a
-// controller that has already consumed this many local observations has live
-// evidence of its own and vetoes the hint.
+// controller that has already consumed this many local observations (one
+// per adaptive-grain job) has live evidence of its own and vetoes the hint.
 const hintMaxObservations = 3
 
 // Engine is the control plane core: it turns counter samples into interval
@@ -228,21 +228,6 @@ func (e *Engine) Grain(kind string) int {
 	return ctl.Grain()
 }
 
-// Grains returns the current grain of every registered kind.
-func (e *Engine) Grains() map[string]int {
-	e.mu.Lock()
-	ctls := make(map[string]*adaptive.Controller, len(e.grains))
-	for k, c := range e.grains {
-		ctls[k] = c
-	}
-	e.mu.Unlock()
-	out := make(map[string]int, len(ctls))
-	for k, c := range ctls {
-		out[k] = c.Grain()
-	}
-	return out
-}
-
 // GrainKinds returns the registered kinds, sorted.
 func (e *Engine) GrainKinds() []string {
 	e.mu.Lock()
@@ -269,7 +254,8 @@ func (e *Engine) GrainStats(kind string) (observations, kept, grown, shrunk int,
 }
 
 // ObserveGrain feeds one per-job observation into the kind's controller and
-// returns the new grain and the decision taken. This is the fast per-job
+// returns the new grain and the decision taken. Callers feed it only jobs
+// that ran at the grain the controller chose. This is the fast per-job
 // feedback edge of the loop; it actuates in both modes because it is the
 // controller's own convergence walk, not an external override. Grow/shrink
 // moves are recorded in the decision log.
@@ -340,20 +326,11 @@ func (e *Engine) sample(ts telemetry.Sample) Sample {
 
 	s := Sample{
 		At:         ts.At,
+		IdleRate:   counters.IdleRateOf(d.Get(counters.TimeExecTotal), d.Get(counters.TimeFuncTotal)),
 		Tasks:      d.Get(counters.CountCumulative),
 		Phases:     d.Get(counters.CountCumulativePhases),
 		MaxWorkers: e.maxWorkers,
 		Elapsed:    elapsed,
-	}
-	if f := d.Get(counters.TimeFuncTotal); f > 0 {
-		ir := (f - d.Get(counters.TimeExecTotal)) / f
-		if ir < 0 {
-			ir = 0
-		}
-		if ir > 1 {
-			ir = 1
-		}
-		s.IdleRate = ir
 	}
 	if acc := d.Get(counters.PendingAccesses); acc > 0 {
 		s.PendingMissRate = d.Get(counters.PendingMisses) / acc

@@ -101,16 +101,7 @@ type Result struct {
 }
 
 // IdleRate returns Eq. 1 over the whole run.
-func (r *Result) IdleRate() float64 {
-	if r.FuncTotalNs <= 0 {
-		return 0
-	}
-	ir := (r.FuncTotalNs - r.ExecTotalNs) / r.FuncTotalNs
-	if ir < 0 {
-		return 0
-	}
-	return ir
-}
+func (r *Result) IdleRate() float64 { return counters.IdleRateOf(r.ExecTotalNs, r.FuncTotalNs) }
 
 // AvgTaskDurationNs returns Eq. 2 (t_d).
 func (r *Result) AvgTaskDurationNs() float64 {

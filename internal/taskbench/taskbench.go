@@ -123,7 +123,7 @@ func Run(rt *taskrt.Runtime, cfg Config) (*Result, error) {
 		return acc
 	}
 
-	execBefore, funcBefore := rt.ExecTotal(), rt.FuncTotal()
+	execBefore, funcBefore := rt.LoopTotals()
 	start := time.Now()
 
 	// Patterns like Trivial and Random leave tasks with no dependents, so
@@ -166,13 +166,14 @@ func Run(rt *taskrt.Runtime, cfg Config) (*Result, error) {
 	future.WhenAll(all).Wait()
 
 	elapsed := time.Since(start)
+	execAfter, funcAfter := rt.LoopTotals()
 	res := &Result{
 		Pattern:    g.Pattern,
 		Grain:      grain,
 		Tasks:      tasks.Load(),
 		Elapsed:    elapsed,
-		ExecNs:     rt.ExecTotal() - execBefore,
-		FuncNs:     rt.FuncTotal() - funcBefore,
+		ExecNs:     execAfter - execBefore,
+		FuncNs:     funcAfter - funcBefore,
 		Checksum:   checksum.Load(),
 		Violations: violations.Load(),
 	}

@@ -32,7 +32,8 @@ func consistencyPairs(workers int) []pairLE {
 // TestCounterConsistencyUnderLoad takes 10k snapshots while workers both
 // run tasks and spin on empty queues, and checks that no snapshot and no
 // delta of consecutive snapshots reports more misses than accesses or more
-// exec time than func time. Pairs kept as independent counters fail this:
+// exec time than func time; LoopTotals readings interleaved with the
+// snapshots are checked the same way. Pairs kept as independent counters fail this:
 // a spinning worker's misses land between the reads of accesses and
 // misses within the first few snapshots, and a long phase closing inside a
 // short interval adds more exec than func to that delta.
@@ -80,13 +81,26 @@ func TestCounterConsistencyUnderLoad(t *testing.T) {
 			}
 		}
 	}
+	// LoopTotals is the per-job reading of the same Σt_exec/Σt_func pair, so
+	// it is held to the same bound in every reading and every delta.
+	checkLoop := func(what string, i int, e, f int64) {
+		if e > f {
+			t.Fatalf("LoopTotals %s %d: exec %d > func %d", what, i, e, f)
+		}
+	}
 	prev := rt.Counters().Snapshot()
 	check("snapshot", 0, prev)
+	prevE, prevF := rt.LoopTotals()
+	checkLoop("reading", 0, prevE, prevF)
 	for i := 1; i < snapshots; i++ {
 		cur := rt.Counters().Snapshot()
 		check("snapshot", i, cur)
 		check("delta", i, cur.Sub(prev))
 		prev = cur
+		e, f := rt.LoopTotals()
+		checkLoop("reading", i, e, f)
+		checkLoop("delta", i, e-prevE, f-prevF)
+		prevE, prevF = e, f
 	}
 	close(stop)
 	feeder.Wait()

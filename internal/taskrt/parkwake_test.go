@@ -182,9 +182,9 @@ func TestParkWakeThrottleStress(t *testing.T) {
 }
 
 // TestFuncTotalMonotonicUnderThrottleChurn is the satellite regression for
-// the FuncTotal read-ordering bug: hammer SetActiveWorkers (whose throttle
+// the Σt_func read-ordering bug: hammer SetActiveWorkers (whose throttle
 // hand-off moves live loop intervals into the completed total) while
-// polling FuncTotal, asserting it never regresses or goes negative.
+// polling LoopTotals, asserting Σt_func never regresses or goes negative.
 func TestFuncTotalMonotonicUnderThrottleChurn(t *testing.T) {
 	rt := New(WithWorkers(4))
 	rt.Start()
@@ -211,13 +211,13 @@ func TestFuncTotalMonotonicUnderThrottleChurn(t *testing.T) {
 	var prev int64
 	polls := 0
 	for time.Now().Before(deadline) {
-		ft := rt.FuncTotal()
+		_, ft := rt.LoopTotals()
 		if ft < 0 {
-			t.Errorf("FuncTotal = %d, want non-negative", ft)
+			t.Errorf("func total = %d, want non-negative", ft)
 			break
 		}
 		if ft < prev {
-			t.Errorf("FuncTotal regressed: %d after %d (poll %d)", ft, prev, polls)
+			t.Errorf("func total regressed: %d after %d (poll %d)", ft, prev, polls)
 			break
 		}
 		prev = ft
@@ -226,7 +226,7 @@ func TestFuncTotalMonotonicUnderThrottleChurn(t *testing.T) {
 	close(stop)
 	churns.Wait()
 	if polls < 100 {
-		t.Fatalf("only %d FuncTotal polls completed; test did not exercise the race", polls)
+		t.Fatalf("only %d func-total polls completed; test did not exercise the race", polls)
 	}
 }
 

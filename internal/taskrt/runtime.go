@@ -249,10 +249,7 @@ func (rt *Runtime) registerCounters() {
 	}
 	r.MustRegister(counters.NewDerived(counters.IdleRate, func() float64 {
 		e, f := rt.loop.Totals()
-		if f <= 0 {
-			return 0
-		}
-		return float64(f-e) / float64(f)
+		return counters.IdleRateOf(float64(e), float64(f))
 	}))
 	// average registers Σt_exec (exec) or Σt_func−Σt_exec divided by a task
 	// or phase count.
@@ -291,24 +288,16 @@ func (rt *Runtime) Workers() int { return rt.topo.Workers() }
 // Policy returns the scheduling policy the runtime was built with.
 func (rt *Runtime) Policy() PolicyKind { return rt.cfg.Policy }
 
-// FuncTotal returns Σt_func in nanoseconds: total scheduler-loop time over
-// all workers, including time spent searching for work and parked (this is
-// what makes starvation visible in the idle-rate, Sec. IV-A). A busy worker
-// adds its loop time as each phase ends; an idle one — from its first empty
-// discovery sweep until it finds work, parked or not — counts live. The
-// reading is monotonic and lags a worker by at most its current phase and
-// the dispatch around it.
-func (rt *Runtime) FuncTotal() int64 {
-	_, f := rt.loop.Totals()
-	return f
-}
-
-// ExecTotal returns Σt_exec in nanoseconds: total time spent inside task
-// phases over all workers.
-func (rt *Runtime) ExecTotal() int64 {
-	e, _ := rt.loop.Totals()
-	return e
-}
+// LoopTotals returns Σt_exec and Σt_func in nanoseconds as one consistent
+// pair, read once per worker: execNs is the time spent inside task phases,
+// funcNs the total scheduler-loop time, including time spent searching for
+// work and parked (this is what makes starvation visible in the idle-rate,
+// Sec. IV-A). A busy worker adds its loop time as each phase ends; an idle
+// one — from its first empty discovery sweep until it finds work, parked or
+// not — counts live. Both readings are monotonic, execNs ≤ funcNs, and they
+// lag a worker by at most its current phase and the dispatch around it.
+// Differencing two readings gives Eq. 1 over the interval between them.
+func (rt *Runtime) LoopTotals() (execNs, funcNs int64) { return rt.loop.Totals() }
 
 // Inflight returns the number of tasks currently staged, pending, active, or
 // suspended — the live backlog an external admission controller bounds. The

@@ -613,9 +613,10 @@ func TestThrottledTimeExcludedFromFunc(t *testing.T) {
 	runSome()
 	// Let throttled workers sit for a while: their paused time must not
 	// accrue to t_func.
-	timeBefore := rt.FuncTotal()
+	_, timeBefore := rt.LoopTotals()
 	waitABit()
-	grown := rt.FuncTotal() - timeBefore
+	_, timeAfter := rt.LoopTotals()
+	grown := timeAfter - timeBefore
 	// Only worker 0 accrues (~the sleep duration); 4 unthrottled workers
 	// would accrue ~4x. Allow generous scheduling slop.
 	if grown > int64(2*throttleProbeSleep/time.Nanosecond) {
@@ -661,9 +662,9 @@ func TestFuncTotalGrowsWhileLive(t *testing.T) {
 	rt := New(WithWorkers(1))
 	rt.Start()
 	defer rt.Shutdown()
-	a := rt.FuncTotal()
+	_, a := rt.LoopTotals()
 	time.Sleep(5 * time.Millisecond)
-	b := rt.FuncTotal()
+	_, b := rt.LoopTotals()
 	if b <= a {
 		t.Fatalf("live func total did not grow: %d -> %d", a, b)
 	}

@@ -128,15 +128,25 @@ func TestStencilJobMatchesReference(t *testing.T) {
 // one P's private slot is invisible to another P's Get) costs one job a
 // fresh 3.2 MB pair.
 func TestStencilJobAllocBytes(t *testing.T) {
+	if median := warmJobAllocBytes(t, JobSpec{Kind: KindStencil, Size: 200_000, Grain: 250, Steps: 5}); median >= 512<<10 {
+		t.Fatalf("warm stencil job allocated %d B (median), want < 512 KiB", median)
+	}
+}
+
+// warmJobAllocBytes runs spec through Submit on a one-runner server, three
+// times to warm its pools and then eleven times measured, and returns the
+// median bytes allocated per job. It skips the test under the race
+// detector.
+func warmJobAllocBytes(t *testing.T, spec JobSpec) uint64 {
+	t.Helper()
 	if microbench.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of its puts")
 	}
 	cfg := testConfig()
 	cfg.MaxConcurrentJobs = 1
 	s, _ := newTestServer(t, cfg)
-	spec := JobSpec{Kind: KindStencil, Size: 200_000, Grain: 250, Steps: 5}
 	for i := 0; i < 3; i++ {
-		runToEnd(t, s, spec) // warm the ring pool
+		runToEnd(t, s, spec)
 	}
 	deltas := make([]uint64, 11)
 	var ms runtime.MemStats
@@ -151,10 +161,8 @@ func TestStencilJobAllocBytes(t *testing.T) {
 	}
 	slices.Sort(deltas)
 	median := deltas[len(deltas)/2]
-	t.Logf("bytes allocated per warm job: median %d, all %v", median, deltas)
-	if median >= 512<<10 {
-		t.Fatalf("warm stencil job allocated %d B (median), want < 512 KiB", median)
-	}
+	t.Logf("bytes allocated per warm %s job: median %d, all %v", spec.Kind, median, deltas)
+	return median
 }
 
 // A job above maxPooledRingPoints allocates its own rings and must not hand

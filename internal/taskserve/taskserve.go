@@ -130,10 +130,10 @@ func New(cfg config.Server) (*Server, error) {
 	reg := rt.Counters()
 
 	// The control-plane engine owns the per-kind grain controllers: jobs read
-	// their adaptive grain through it, per-job observations feed back through
-	// it, and watchdog verdicts and mesh hints actuate through it — one
-	// sample→decide→actuate path. Its recorder registers the
-	// /control/{decisions,actuations,vetoes} counters on this registry.
+	// their adaptive grain through it, adaptive-grain jobs' observations
+	// feed back through it, and watchdog verdicts and mesh hints actuate
+	// through it — one sample→decide→actuate path. Its recorder registers
+	// the /control/{decisions,actuations,vetoes} counters on this registry.
 	mode, err := cfg.ControlModeKind()
 	if err != nil {
 		return nil, err
@@ -333,7 +333,8 @@ func (s *Server) runner() {
 }
 
 // runJob executes one admitted job end to end: grain choice, deadline arm,
-// workload run, counter observation, adaptive feedback, terminal state.
+// workload run, one Σt_exec/Σt_func pair read at each edge, adaptive
+// feedback (adaptive-grain jobs only), terminal state.
 func (s *Server) runJob(job *Job) {
 	if job.State() != JobQueued {
 		s.accountTerminal(job) // aborted while queued
@@ -367,22 +368,25 @@ func (s *Server) runJob(job *Job) {
 		})
 	}
 
-	prev := s.rt.Counters().Snapshot()
+	exec0, func0 := s.rt.LoopTotals()
 	res, err := runWorkload(s.rt, spec, grain, job.aborted)
-	cur := s.rt.Counters().Snapshot()
+	exec1, func1 := s.rt.LoopTotals()
 	if timer != nil {
 		timer.Stop()
 	}
 
 	var result *JobResult
 	if res != nil {
-		obs := adaptive.ObservationFromSnapshots(prev, cur, grain, s.workers, res.generations)
-		res.IdleRate = obs.IdleRate
-		// The interval task count is polluted by concurrent jobs; the job's
-		// own spawn count is exact, so prefer it for the slack signal.
-		obs.Tasks = float64(res.Tasks) / float64(maxInt(res.generations, 1))
-		if err == nil && !job.aborted() {
-			_, dec := s.eng.ObserveGrain(spec.Kind, obs)
+		res.IdleRate = counters.IdleRateOf(float64(exec1-exec0), float64(func1-func0))
+		// Only a grain the controller chose can judge the controller: a
+		// client-pinned grain says nothing about the adaptive one.
+		if source == "adaptive" && err == nil && !job.aborted() {
+			_, dec := s.eng.ObserveGrain(spec.Kind, adaptive.Observation{
+				PartitionSize: grain,
+				IdleRate:      res.IdleRate,
+				Tasks:         float64(res.Tasks) / float64(maxInt(res.generations, 1)),
+				Cores:         s.workers,
+			})
 			job.setDecision(dec.String())
 		}
 		result = &res.JobResult

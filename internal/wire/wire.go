@@ -84,8 +84,10 @@ type JobResult struct {
 	// Checksum is a workload-defined digest of the computed values, so
 	// clients can assert two runs computed the same thing.
 	Checksum float64 `json:"checksum"`
-	// IdleRate is Eq. 1 over the job's execution interval. Approximate when
-	// jobs overlap on the shared runtime.
+	// IdleRate is Eq. 1 over the job's execution interval, from one
+	// Σt_exec/Σt_func pair read at each edge; reported for every job, and
+	// fed to the grain controller only when the grain was adaptive.
+	// Approximate when jobs overlap on the shared runtime.
 	IdleRate float64 `json:"idle_rate"`
 	// Pattern echoes the dependence pattern a taskbench job ran.
 	Pattern string `json:"pattern,omitempty"`
